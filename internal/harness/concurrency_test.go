@@ -130,6 +130,46 @@ func TestSingleflightNameIndependence(t *testing.T) {
 	}
 }
 
+// TestLeaderRechecksCacheAfterLookupMiss forces the interleaving behind the
+// old TestSingleflightNameIndependence flake, with no sleeps: job beta misses
+// the cache, then — before beta bids for flight leadership — job alpha
+// simulates, stores and leaves the flight table. Beta then leads with an
+// empty flight table and must find alpha's entry on its second look instead
+// of simulating the hash again.
+func TestLeaderRechecksCacheAfterLookupMiss(t *testing.T) {
+	a := microSpec("FNCC")
+	a.Name = "alpha"
+	b := microSpec("FNCC")
+	b.Name = "beta"
+	r := &Runner{CacheDir: t.TempDir()}
+	var alphaErr error
+	ranAlpha := false
+	r.afterLookupMiss = func() {
+		if ranAlpha {
+			return // alpha's own miss
+		}
+		ranAlpha = true
+		_, alphaErr = r.Run(a)
+	}
+	res, err := r.Run(b)
+	if err != nil || alphaErr != nil {
+		t.Fatalf("beta: %v, alpha: %v", err, alphaErr)
+	}
+	if !ranAlpha {
+		t.Fatal("the lookup-miss seam never ran")
+	}
+	if hits, misses := r.Stats(); hits != 1 || misses != 1 {
+		t.Fatalf("hits/misses = %d/%d, want 1/1 (beta must adopt alpha's entry)", hits, misses)
+	}
+	if !res.Cached || res.Spec.Name != "beta" {
+		t.Fatalf("beta result: cached=%v name=%q, want a cached result named beta",
+			res.Cached, res.Spec.Name)
+	}
+	if _, err := os.Stat(r.markerPath(res.Hash)); !os.IsNotExist(err) {
+		t.Fatalf("in-flight marker left behind: %v", err)
+	}
+}
+
 // TestCrossProcessExactlyOnce: two Runners sharing one CacheDir — the
 // in-process stand-in for two server processes on one cache volume — race
 // on the same spec and simulate exactly once between them. Each Runner has

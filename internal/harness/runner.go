@@ -91,6 +91,11 @@ type Runner struct {
 
 	flightMu sync.Mutex
 	flight   map[string]*flightCall
+
+	// afterLookupMiss, when set, runs between a job's cache miss and its
+	// bid for flight leadership: a test seam for the window in which an
+	// earlier leader can store its result and leave.
+	afterLookupMiss func()
 }
 
 // flightCall is one in-flight simulation of a spec hash. The leader closes
@@ -356,12 +361,10 @@ func (r *Runner) runHashed(sp scenario.Spec, hash string, job *obs.Span) (*scena
 	res, ok := r.load(hash)
 	lookup.End()
 	if ok {
-		// The cache key ignores Name; restore the caller's label.
-		res.Spec.Name = sp.Name
-		r.hits.Add(1)
-		r.Obs.Counter(MetricCacheHits).Add(1)
-		job.SetAttr("outcome", "cached")
-		return res, nil
+		return r.adoptHit(sp, res, job), nil
+	}
+	if r.afterLookupMiss != nil {
+		r.afterLookupMiss()
 	}
 	// Singleflight: exactly one goroutine per hash proceeds past here at a
 	// time; the rest wait on the leader's call and share its outcome. This
@@ -390,6 +393,16 @@ func (r *Runner) runHashed(sp scenario.Spec, hash string, job *obs.Span) (*scena
 	c.res, c.err = res, err
 	close(c.done)
 	return res, err
+}
+
+// adoptHit turns a cache entry into this job's result, counted as a hit.
+func (r *Runner) adoptHit(sp scenario.Spec, res *scenario.Result, job *obs.Span) *scenario.Result {
+	// The cache key ignores Name; restore the caller's label.
+	res.Spec.Name = sp.Name
+	r.hits.Add(1)
+	r.Obs.Counter(MetricCacheHits).Add(1)
+	job.SetAttr("outcome", "cached")
+	return res
 }
 
 // adoptCoalesced turns a settled in-flight call into this job's result.
@@ -429,6 +442,11 @@ func (r *Runner) leaderRun(sp scenario.Spec, hash string, job *obs.Span) (*scena
 			return res, nil
 		}
 		defer os.Remove(r.markerPath(hash))
+		// An earlier leader may have stored this hash and left the flight
+		// table between our lookup miss and our leadership: look again.
+		if res, ok := r.load(hash); ok {
+			return r.adoptHit(sp, res, job), nil
+		}
 	}
 	stopRefresh := r.refreshMarker(hash)
 	simulate := r.Tracer.Start("simulate", job)

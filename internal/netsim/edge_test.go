@@ -281,3 +281,34 @@ func TestSwitchZeroPortsPanics(t *testing.T) {
 	}()
 	n.NewSwitch(0)
 }
+
+// TestRouteToMissingDestination pins the "no route" error of the dense route
+// table for an unset destination inside the table, one past its end, and a
+// negative ID, while an installed route still resolves.
+func TestRouteToMissingDestination(t *testing.T) {
+	_, senders, recv, sws := chain(t, DefaultConfig(), fixedScheme(gbps100), 2, 1, gbps100)
+	sw := sws[0]
+	sw.SetRoute(recv.ID()+4, 1) // grows the table past the switch's own ID
+	if p, err := sw.RouteTo(&packet.Packet{Dst: senders[1].ID()}); err != nil || p != 1 {
+		t.Fatalf("RouteTo(sender 1) = %d, %v; want port 1", p, err)
+	}
+	if p, err := sw.RouteTo(&packet.Packet{Dst: recv.ID() + 4}); err != nil || p != 1 {
+		t.Fatalf("RouteTo(grown entry) = %d, %v; want port 1", p, err)
+	}
+	for _, dst := range []int32{sw.ID(), recv.ID() + 5, 1 << 20, -1} {
+		if _, err := sw.RouteTo(&packet.Packet{Dst: dst}); err == nil {
+			t.Errorf("RouteTo(%d) found a route; want the no-route error", dst)
+		}
+	}
+	mustPanic(t, "negative SetRoute", func() { sw.SetRoute(-1, 0) })
+}
+
+func mustPanic(t *testing.T, name string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", name)
+		}
+	}()
+	fn()
+}

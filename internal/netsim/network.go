@@ -204,7 +204,6 @@ func (n *Network) NewSwitch(ports int) *Switch {
 		shard:          sh,
 		dropsC:         &n.Drops,
 		pausesC:        &n.PauseFrames,
-		routes:         make(map[int32][]int),
 		ingressBytes:   make([][]int64, ports),
 		upstreamPaused: make([][]bool, ports),
 	}

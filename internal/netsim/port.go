@@ -48,12 +48,13 @@ type Port struct {
 	busy        bool
 
 	// In-flight transmission state. txPkt is the frame occupying the
-	// transmitter (at most one); wire is the propagation FIFO — frames that
+	// transmitter (at most one); lane is the propagation FIFO — frames that
 	// finished serializing and are crossing the link, delivered in order
-	// because every frame on a link shares the same propagation delay.
+	// because every frame on a link shares the same propagation delay. Keyed
+	// by uid, it keeps only its oldest frame in the engine's heap.
 	txPkt  *packet.Packet
 	txSize int
-	wire   []*packet.Packet
+	lane   *sim.Lane
 
 	// Telemetry, readable by INT hooks.
 	txBytes     uint64 // cumulative bytes that completed serialization
@@ -80,6 +81,7 @@ func newPort(owner Node, index int, net *Network) *Port {
 		pausedSince: make([]sim.Time, n),
 	}
 	net.nextPortUID++
+	p.lane = eng.NewLane(p.uid, p.deliver)
 	if sh != nil {
 		p.longPauses = &sh.longPauses
 	}
@@ -286,12 +288,11 @@ func portTxDone(v any) {
 	}
 	if p.shard != p.peer.shard {
 		// The peer lives in another shard: hand the frame to the barrier
-		// exchange instead of the local wire (shard.go invariant 2). Both
+		// exchange instead of the local lane (shard.go invariant 2). Both
 		// shard fields are nil in serial mode, so this branch is free there.
 		p.shard.sendRemote(p, pkt)
 	} else {
-		p.wire = append(p.wire, pkt)
-		p.eng.AfterArgKeyed(p.delay, p.uid, portDeliver, p)
+		p.lane.After(p.delay, pkt)
 	}
 	p.kick()
 	if !p.busy && p.onIdle != nil {
@@ -299,16 +300,11 @@ func portTxDone(v any) {
 	}
 }
 
-// portDeliver completes a frame's link propagation: the oldest frame on the
+// deliver completes a frame's link propagation: the oldest frame on the
 // wire reaches the peer. FIFO order is exact because serialization
 // completions are strictly ordered and the propagation delay is a link
 // constant.
-func portDeliver(v any) {
-	p := v.(*Port)
-	pkt := p.wire[0]
-	n := copy(p.wire, p.wire[1:])
-	p.wire[n] = nil
-	p.wire = p.wire[:n]
+func (p *Port) deliver(v any) {
 	peer := p.peer
-	peer.owner.Receive(pkt, peer.index)
+	peer.owner.Receive(v.(*packet.Packet), peer.index)
 }

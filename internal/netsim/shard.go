@@ -30,12 +30,12 @@ import (
 //     (at, schedAt, key): arrival time, the transmit-completion instant that
 //     scheduled it, and the source port's fabric-wide UID — the same key the
 //     serial engine uses for that frame's delivery event (ports schedule
-//     deliveries through AfterArgKeyed). Frames colliding on the full prefix
-//     cannot exist (a port completes at most one transmit per instant), so
-//     merging the remote calendar with the local queue by the prefix
-//     reproduces the serial interleaving exactly. The seq tiebreak never
-//     crosses the merge: it only orders same-shard events, where it equals
-//     the serial restriction (invariant 1).
+//     deliveries through a sim.Lane keyed by it). Frames colliding on the
+//     full prefix cannot exist (a port completes at most one transmit per
+//     instant), so merging the remote calendar with the local queue by the
+//     prefix reproduces the serial interleaving exactly. The seq tiebreak
+//     never crosses the merge: it only orders same-shard events, where it
+//     equals the serial restriction (invariant 1).
 //  3. The window end never exceeds min-event-time + lookahead, so every
 //     message generated inside a window is timestamped at or after the next
 //     barrier — no shard can receive a message in its past (the classic

@@ -26,8 +26,9 @@ type Switch struct {
 	dropsC  *metrics.Counter
 	pausesC *metrics.Counter
 
-	// routes maps destination host ID to the equal-cost egress port set.
-	routes map[int32][]int
+	// routes is indexed by destination host ID and holds the equal-cost
+	// egress port set; an empty set means no route.
+	routes [][]int
 
 	// Shared-buffer occupancy across all egress queues (data frames only).
 	buffered int64
@@ -79,6 +80,9 @@ func (s *Switch) BufferedBytes() int64 { return s.buffered }
 // SetRoute installs the equal-cost egress port set toward a destination
 // host. The topology builder calls this while wiring the fabric.
 func (s *Switch) SetRoute(dst int32, ports ...int) {
+	if dst < 0 {
+		panic(fmt.Sprintf("netsim: switch %d: route to negative host %d", s.id, dst))
+	}
 	if len(ports) == 0 {
 		panic(fmt.Sprintf("netsim: switch %d: empty route to %d", s.id, dst))
 	}
@@ -87,6 +91,9 @@ func (s *Switch) SetRoute(dst int32, ports ...int) {
 			panic(fmt.Sprintf("netsim: switch %d: route port %d out of range", s.id, p))
 		}
 	}
+	if int(dst) >= len(s.routes) {
+		s.routes = append(s.routes, make([][]int, int(dst)+1-len(s.routes))...)
+	}
 	s.routes[dst] = append([]int(nil), ports...)
 }
 
@@ -94,8 +101,11 @@ func (s *Switch) SetRoute(dst int32, ports ...int) {
 // hashing over the configured equal-cost set (Fig 5: with symmetric hashing
 // and symmetric tables, a data packet and its ACK pick the same links).
 func (s *Switch) RouteTo(pkt *packet.Packet) (int, error) {
-	set, ok := s.routes[pkt.Dst]
-	if !ok {
+	var set []int
+	if d := pkt.Dst; d >= 0 && int(d) < len(s.routes) {
+		set = s.routes[d]
+	}
+	if len(set) == 0 {
 		return 0, fmt.Errorf("netsim: switch %d has no route to host %d", s.id, pkt.Dst)
 	}
 	if len(set) == 1 {

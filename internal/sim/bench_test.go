@@ -116,3 +116,28 @@ func BenchmarkTxTime(b *testing.B) {
 	}
 	_ = t
 }
+
+// BenchmarkLaneDeliver models a fabric's link deliveries: 256 lanes, each
+// re-filled as it drains, so every fire also arms the lane's next entry.
+func BenchmarkLaneDeliver(b *testing.B) {
+	e := NewEngine()
+	const lanes = 256
+	ls := make([]*Lane, lanes)
+	n := 0
+	for i := range ls {
+		d := Time(100 + i)
+		ls[i] = e.NewLane(int32(i), func(v any) {
+			n++
+			if n < b.N {
+				v.(*Lane).After(d, v)
+			}
+		})
+		for j := 0; j < 4; j++ {
+			ls[i].After(d, ls[i])
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for n < b.N && e.Step() {
+	}
+}

@@ -8,11 +8,16 @@ import (
 // The engine is allocation-free in steady state. Events live in a
 // slot slab owned by the engine; Schedule hands out value-type handles
 // carrying a generation counter, freed slots recycle through a freelist, and
-// cancellation is O(1) lazy tombstoning swept when the priority queue pops
-// the entry. The (time, schedAt, key, seq) tiebreak gives every event a
-// unique position in a strict total order, so firing order — and therefore
-// every downstream measurement — is deterministic and, for keyed link
-// deliveries, reproducible by the sharded parallel executor (see HeadKey).
+// cancellation is O(1) lazy tombstoning. Tombstones leave the priority queue
+// when they reach the front or, once they outnumber the live entries, in one
+// O(n) compaction pass, so the queue never holds more than about twice the
+// live events. Streams of events that are FIFO by construction (link
+// deliveries) queue in a Lane, which keeps only its head in the heap. The
+// (time, schedAt, key, seq) tiebreak gives every event a unique position in
+// a strict total order, so firing order — and therefore every downstream
+// measurement — is deterministic, independent of how the heap is arranged,
+// and, for keyed link deliveries, reproducible by the sharded parallel
+// executor (see HeadKey).
 
 // Event is a handle to a scheduled callback, returned by Schedule/After so
 // the caller can cancel it (e.g. a retransmission timer disarmed by an ACK).
@@ -56,6 +61,7 @@ type slot struct {
 	fn    func()
 	argFn func(any)
 	arg   any
+	lane  *Lane // set while the slot holds a lane's head
 }
 
 // KeyNone is the ordering key of every event scheduled without an explicit
@@ -105,8 +111,9 @@ type EngineStats struct {
 	// SlotReuses counts schedules served from the freelist instead of
 	// growing the slab — the event-pool hit count.
 	SlotReuses uint64
-	// Slots is the slab size: the high-water mark of simultaneously live
-	// events (plus unswept tombstones).
+	// Slots is the slab size: the high-water mark of queued entries —
+	// live events plus tombstones not yet compacted away. Lane entries
+	// behind a lane's head hold no slot.
 	Slots int
 }
 
@@ -132,6 +139,7 @@ type Engine struct {
 	slots   []slot
 	free    []int32
 	live    int // scheduled, not cancelled, not fired
+	tombs   int // cancelled entries still in queue
 	stopped bool
 
 	processed  uint64
@@ -187,6 +195,7 @@ func (e *Engine) release(i int32) {
 	s.fn = nil
 	s.argFn = nil
 	s.arg = nil
+	s.lane = nil
 	e.free = append(e.free, i)
 }
 
@@ -194,19 +203,27 @@ func (e *Engine) push(at Time, key int32, fn func(), argFn func(any), arg any) E
 	if at < e.now {
 		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
 	}
-	i := e.alloc()
-	s := &e.slots[i]
-	s.live = true
-	s.at = at
-	s.fn = fn
-	s.argFn = argFn
-	s.arg = arg
-	e.queue = append(e.queue, entry{at: at, schedAt: e.now, seq: e.seq, key: key, slot: i})
+	i := e.insert(entry{at: at, schedAt: e.now, seq: e.seq, key: key}, fn, argFn, arg)
 	e.seq++
 	e.scheduled++
 	e.live++
+	return Event{e: e, slot: i, gen: e.slots[i].gen}
+}
+
+// insert binds ent to a fresh slot holding the callback and adds it to the
+// heap. The caller stamps ent's ordering key and does the accounting.
+func (e *Engine) insert(ent entry, fn func(), argFn func(any), arg any) int32 {
+	i := e.alloc()
+	s := &e.slots[i]
+	s.live = true
+	s.at = ent.at
+	s.fn = fn
+	s.argFn = argFn
+	s.arg = arg
+	ent.slot = i
+	e.queue = append(e.queue, ent)
 	e.siftUp(len(e.queue) - 1)
-	return Event{e: e, slot: i, gen: s.gen}
+	return i
 }
 
 // Schedule registers fn to run at absolute time at. Scheduling in the past
@@ -258,16 +275,26 @@ func (e *Engine) AfterArgKeyed(d Time, key int32, fn func(any), arg any) Event {
 	if fn == nil {
 		panic("sim: schedule with nil callback")
 	}
+	checkKey(key)
+	return e.push(e.now+d, key, nil, fn, arg)
+}
+
+// checkKey panics unless key is a valid explicit collision key: in
+// [0, KeyNone).
+func checkKey(key int32) {
 	if key < 0 || key == KeyNone {
 		panic(fmt.Sprintf("sim: event key %d out of range", key))
 	}
-	return e.push(e.now+d, key, nil, fn, arg)
 }
+
+// compactFloor keeps small queues from compacting on every other cancel.
+const compactFloor = 32
 
 // Cancel deactivates ev if it has not fired. Safe to call on zero or stale
 // handles (including a handle whose slot has been recycled by a newer event
 // — the generation check makes that a no-op). The queue entry is tombstoned
-// in O(1) and swept when it reaches the front.
+// in O(1) and swept when it reaches the front, or by compact once
+// tombstones fill more than half the queue (amortised O(1) per cancel).
 func (e *Engine) Cancel(ev Event) {
 	if ev.e != e || ev.e == nil {
 		return
@@ -282,6 +309,43 @@ func (e *Engine) Cancel(ev Event) {
 	s.arg = nil
 	e.canceled++
 	e.live--
+	e.tombs++
+	if e.tombs > len(e.queue)/2+compactFloor {
+		e.compact()
+	}
+}
+
+// compact drops every tombstone from the queue, releases their slots and
+// re-heapifies in O(n). The order is a strict total order, so the rebuilt
+// heap fires exactly the same sequence as the one it replaces.
+func (e *Engine) compact() {
+	q := e.queue
+	n := 0
+	for _, ent := range q {
+		if e.slots[ent.slot].live {
+			q[n] = ent
+			n++
+		} else {
+			e.release(ent.slot)
+		}
+	}
+	clear(q[n:])
+	e.queue = q[:n]
+	e.tombs = 0
+	for i := n/2 - 1; i >= 0; i-- {
+		e.siftDown(i, q[i])
+	}
+}
+
+// sweep pops tombstones off the front of the queue so its head, if any, is
+// live.
+func (e *Engine) sweep() {
+	for len(e.queue) > 0 && !e.slots[e.queue[0].slot].live {
+		i := e.queue[0].slot
+		e.popTop()
+		e.release(i)
+		e.tombs--
+	}
 }
 
 // Stop makes the current Run/RunUntil call return after the in-flight event.
@@ -290,27 +354,28 @@ func (e *Engine) Stop() { e.stopped = true }
 // Step fires the earliest pending event and returns true, or returns false
 // if the queue is empty.
 func (e *Engine) Step() bool {
-	for len(e.queue) > 0 {
-		ent := e.queue[0]
-		e.popTop()
-		s := &e.slots[ent.slot]
-		if !s.live {
-			e.release(ent.slot) // tombstoned by Cancel; sweep
-			continue
-		}
-		fn, argFn, arg := s.fn, s.argFn, s.arg
-		e.release(ent.slot) // free before firing so fn can recycle the slot
-		e.now = ent.at
-		e.processed++
-		e.live--
-		if argFn != nil {
-			argFn(arg)
-		} else {
-			fn()
-		}
+	e.sweep()
+	if len(e.queue) == 0 {
+		return false
+	}
+	ent := e.queue[0]
+	s := &e.slots[ent.slot]
+	e.now = ent.at
+	e.processed++
+	e.live--
+	if l := s.lane; l != nil {
+		l.fire(ent)
 		return true
 	}
-	return false
+	e.popTop()
+	fn, argFn, arg := s.fn, s.argFn, s.arg
+	e.release(ent.slot) // free before firing so fn can recycle the slot
+	if argFn != nil {
+		argFn(arg)
+	} else {
+		fn()
+	}
+	return true
 }
 
 // Run drains the event queue or stops when Stop is called.
@@ -325,12 +390,7 @@ func (e *Engine) Run() {
 func (e *Engine) RunUntil(deadline Time) {
 	e.stopped = false
 	for !e.stopped {
-		// Peek, sweeping tombstones off the front.
-		for len(e.queue) > 0 && !e.slots[e.queue[0].slot].live {
-			i := e.queue[0].slot
-			e.popTop()
-			e.release(i)
-		}
+		e.sweep()
 		if len(e.queue) == 0 || e.queue[0].at > deadline {
 			break
 		}
@@ -350,11 +410,7 @@ func (e *Engine) RunUntil(deadline Time) {
 // front so the answer reflects a live event. ok is false when the queue is
 // empty.
 func (e *Engine) HeadKey() (at, schedAt Time, key int32, ok bool) {
-	for len(e.queue) > 0 && !e.slots[e.queue[0].slot].live {
-		i := e.queue[0].slot
-		e.popTop()
-		e.release(i)
-	}
+	e.sweep()
 	if len(e.queue) == 0 {
 		return 0, 0, 0, false
 	}
@@ -395,12 +451,16 @@ func (e *Engine) popTop() {
 	ent := q[n]
 	q[n] = entry{}
 	e.queue = q[:n]
-	if n == 0 {
-		return
+	if n > 0 {
+		e.siftDown(0, ent)
 	}
-	// Sift the former last element down from the root.
-	q = e.queue
-	i := 0
+}
+
+// siftDown places ent at index i, or below it, restoring the heap property
+// of the subtree rooted at i.
+func (e *Engine) siftDown(i int, ent entry) {
+	q := e.queue
+	n := len(q)
 	for {
 		l := 2*i + 1
 		if l >= n {

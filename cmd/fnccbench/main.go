@@ -43,6 +43,7 @@ import (
 	"sync"
 	"syscall"
 
+	"repro/internal/exp"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -455,8 +456,8 @@ func cmdSweep(args []string) error {
 	// Resolve the pool against the shared GOMAXPROCS budget up front so the
 	// log shows the worker count the sweep will actually run with (points
 	// using the parallel packet executor shrink the pool; see
-	// harness.PoolWorkers).
-	pool := harness.PoolWorkers(*workers, harness.MaxSimWorkers(specs))
+	// exp.PoolWorkers).
+	pool := exp.PoolWorkers(*workers, harness.MaxSimWorkers(specs))
 	env.logger.Info("sweep starting", "scenario", args[0], "points", len(specs),
 		"workers", pool, "sim_workers", harness.MaxSimWorkers(specs), "cache", *cache)
 

@@ -197,7 +197,7 @@ func RunFCTSweep(base FCTConfig, schemes []string, seeds []int64) (map[string]*m
 		r   *FCTResult
 		err error
 	}
-	results := ParallelMap(jobs, 0, func(j job) out {
+	results := ParallelMap(jobs, PoolWorkers(0, base.Workers), func(j job) out {
 		cfg := base
 		cfg.Scheme = j.scheme
 		cfg.Seed = j.seed

@@ -185,7 +185,11 @@ func RunMicroAll(schemes []string, rateBps int64, mut func(*MicroConfig)) ([]*Mi
 		r   *MicroResult
 		err error
 	}
-	res := ParallelMap(cfgs, 0, func(c MicroConfig) out {
+	simWorkers := 0
+	for _, c := range cfgs {
+		simWorkers = max(simWorkers, c.Workers)
+	}
+	res := ParallelMap(cfgs, PoolWorkers(0, simWorkers), func(c MicroConfig) out {
 		r, err := RunMicro(c)
 		return out{r, err}
 	})

@@ -5,6 +5,35 @@ import (
 	"sync"
 )
 
+// Budget is the process's parallelism budget: GOMAXPROCS. Every worker-pool
+// sizing decision in the repo (the exp sweeps, fnccbench sweeps via the
+// harness Runner, the sweepd job pool) funnels through PoolWorkers so the
+// budget is spent in exactly one place instead of each call site reading
+// GOMAXPROCS for itself.
+func Budget() int { return runtime.GOMAXPROCS(0) }
+
+// PoolWorkers resolves a sweep-level worker-pool size when each simulation
+// may itself run simWorkers goroutines (the LP-sharded packet executor;
+// <= 1 means serial). A requested size <= 0 asks to fill the budget. The
+// result is clamped so pool × sim workers never exceeds the budget:
+// oversubscribing GOMAXPROCS turns the parallel executor's per-window
+// barriers into scheduler thrash that slows every job down. At least one
+// pool worker is always granted — a single over-wide job degrades into
+// time-slicing rather than refusing to run.
+func PoolWorkers(requested, simWorkers int) int {
+	if simWorkers < 1 {
+		simWorkers = 1
+	}
+	cap := Budget() / simWorkers
+	if cap < 1 {
+		cap = 1
+	}
+	if requested <= 0 || requested > cap {
+		return cap
+	}
+	return requested
+}
+
 // ParallelMap runs fn over jobs on a bounded worker pool and returns the
 // results in job order. Each job builds and drives its own independent
 // simulation Engine, so jobs share nothing; this is where the harness gets
@@ -12,7 +41,7 @@ import (
 // simulator single-threaded and deterministic.
 func ParallelMap[J, R any](jobs []J, workers int, fn func(J) R) []R {
 	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
+		workers = Budget()
 	}
 	if workers > len(jobs) {
 		workers = len(jobs)

@@ -1,41 +1,9 @@
 package harness
 
-import (
-	"runtime"
-
-	"repro/internal/scenario"
-)
-
-// Budget is the process's parallelism budget: GOMAXPROCS. Every worker-pool
-// sizing decision in the repo (fnccbench sweeps via Runner, the sweepd job
-// pool) funnels through PoolWorkers so the budget is spent in exactly one
-// place instead of each call site reading GOMAXPROCS for itself.
-func Budget() int { return runtime.GOMAXPROCS(0) }
-
-// PoolWorkers resolves a sweep-level worker-pool size when each simulation
-// may itself run simWorkers goroutines (the LP-sharded packet executor;
-// <= 1 means serial). A requested size <= 0 asks to fill the budget. The
-// result is clamped so pool × sim workers never exceeds the budget:
-// oversubscribing GOMAXPROCS turns the parallel executor's per-window
-// barriers into scheduler thrash that slows every job down. At least one
-// pool worker is always granted — a single over-wide job degrades into
-// time-slicing rather than refusing to run.
-func PoolWorkers(requested, simWorkers int) int {
-	if simWorkers < 1 {
-		simWorkers = 1
-	}
-	cap := Budget() / simWorkers
-	if cap < 1 {
-		cap = 1
-	}
-	if requested <= 0 || requested > cap {
-		return cap
-	}
-	return requested
-}
+import "repro/internal/scenario"
 
 // MaxSimWorkers scans a sweep's points for the widest per-simulation worker
-// count, the simWorkers input to PoolWorkers (0 when every point is serial).
+// count, the simWorkers input to exp.PoolWorkers (0 when every point is serial).
 func MaxSimWorkers(specs []scenario.Spec) int {
 	w := 0
 	for _, sp := range specs {

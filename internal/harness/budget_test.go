@@ -1,57 +1,10 @@
 package harness
 
 import (
-	"runtime"
 	"testing"
 
 	"repro/internal/scenario"
 )
-
-// TestPoolWorkers pins the oversubscription guard: pool × simWorkers never
-// exceeds GOMAXPROCS, requested <= 0 fills the budget, and at least one
-// worker is always granted even when a single job is wider than the budget.
-func TestPoolWorkers(t *testing.T) {
-	budget := runtime.GOMAXPROCS(0)
-	if got := Budget(); got != budget {
-		t.Fatalf("Budget() = %d, want GOMAXPROCS %d", got, budget)
-	}
-
-	cases := []struct {
-		name                        string
-		requested, simWorkers, want int
-	}{
-		{"default fills budget", 0, 0, budget},
-		{"negative fills budget", -3, 1, budget},
-		{"one is one", 1, 0, 1},
-		{"over-ask clamps to budget", budget + 7, 1, budget},
-		{"sim workers shrink the pool", 0, budget, 1},
-		{"wider than budget still grants one", 4, 2 * budget, 1},
-	}
-	for _, tc := range cases {
-		if got := PoolWorkers(tc.requested, tc.simWorkers); got != tc.want {
-			t.Errorf("%s: PoolWorkers(%d, %d) = %d, want %d",
-				tc.name, tc.requested, tc.simWorkers, got, tc.want)
-		}
-	}
-
-	// The invariant itself, across a small grid.
-	for req := -1; req <= budget+2; req++ {
-		for sw := 0; sw <= budget+2; sw++ {
-			pool := PoolWorkers(req, sw)
-			eff := sw
-			if eff < 1 {
-				eff = 1
-			}
-			if pool < 1 {
-				t.Fatalf("PoolWorkers(%d, %d) = %d < 1", req, sw, pool)
-			}
-			if pool > 1 && pool*eff > budget {
-				t.Fatalf("PoolWorkers(%d, %d) = %d oversubscribes: %d × %d > budget %d",
-					req, sw, pool, pool, eff, budget)
-			}
-		}
-	}
-}
 
 // TestMaxSimWorkers checks the sweep scan used to size shared pools.
 func TestMaxSimWorkers(t *testing.T) {

@@ -267,7 +267,7 @@ func (r *Runner) RunAllCtx(ctx context.Context, specs []scenario.Spec) ([]*scena
 	// Oversubscription guard: points running the sharded packet executor
 	// multiply the pool's concurrency, so the pool shrinks to keep
 	// sweep-level × sim-level workers within the GOMAXPROCS budget.
-	workers := PoolWorkers(r.Workers, MaxSimWorkers(specs))
+	workers := exp.PoolWorkers(r.Workers, MaxSimWorkers(specs))
 	outs := exp.ParallelMap(specs, workers, func(sp scenario.Spec) out {
 		if ctx.Err() != nil {
 			return out{skipped: true}

@@ -51,7 +51,8 @@ type Port struct {
 	// transmitter (at most one); lane is the propagation FIFO — frames that
 	// finished serializing and are crossing the link, delivered in order
 	// because every frame on a link shares the same propagation delay. Keyed
-	// by uid, it keeps only its oldest frame in the engine's heap.
+	// by uid, it lives on the peer's engine and keeps only its oldest frame
+	// in that engine's heap.
 	txPkt  *packet.Packet
 	txSize int
 	lane   *sim.Lane
@@ -81,7 +82,6 @@ func newPort(owner Node, index int, net *Network) *Port {
 		pausedSince: make([]sim.Time, n),
 	}
 	net.nextPortUID++
-	p.lane = eng.NewLane(p.uid, p.deliver)
 	if sh != nil {
 		p.longPauses = &sh.longPauses
 	}
@@ -149,6 +149,10 @@ func Connect(a, b *Port, rateBps int64, delay sim.Time) {
 	a.peer, b.peer = b, a
 	a.rate, b.rate = rateBps, rateBps
 	a.delay, b.delay = delay, delay
+	// Each direction's propagation FIFO runs where its frames arrive: a
+	// cross-shard frame joins the receiver's lane at the barrier.
+	a.lane = b.eng.NewLane(a.uid, a.deliver)
+	b.lane = a.eng.NewLane(b.uid, b.deliver)
 	if a.shard != nil && a.shard != b.shard {
 		// A boundary-crossing link: its propagation delay is a lookahead
 		// candidate for the conservative parallel executor.
@@ -287,9 +291,9 @@ func portTxDone(v any) {
 		p.txDataBytes += uint64(size)
 	}
 	if p.shard != p.peer.shard {
-		// The peer lives in another shard: hand the frame to the barrier
-		// exchange instead of the local lane (shard.go invariant 2). Both
-		// shard fields are nil in serial mode, so this branch is free there.
+		// The peer lives in another shard, whose engine the lane is on: the
+		// barrier pushes the frame into it (shard.go invariant 2). Both shard
+		// fields are nil in serial mode, so this branch is free there.
 		p.shard.sendRemote(p, pkt)
 	} else {
 		p.lane.After(p.delay, pkt)

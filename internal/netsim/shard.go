@@ -15,8 +15,9 @@ import (
 // processes), each owning a contiguous set of nodes together with a private
 // sim.Engine and packet.Pool. Execution proceeds in windows bounded by the
 // minimum cross-shard link latency; within a window every shard drains its
-// own event queue independently, and frames whose link crosses a shard
-// boundary are exchanged at the barrier as timestamped messages.
+// own event queue independently, and a frame whose link crosses a shard
+// boundary waits in its shard's outbox until the barrier hands it to the
+// receiver's delivery lane.
 //
 // The design goal is bit-identical results versus the serial engine for any
 // worker count. Three invariants deliver that:
@@ -26,16 +27,18 @@ import (
 //     serial run, so the per-shard event sequence is exactly the serial
 //     sequence restricted to that shard.
 //  2. Every event is ordered by the serial engine's comparator
-//     (at, schedAt, key, seq), and a cross-shard delivery carries the prefix
-//     (at, schedAt, key): arrival time, the transmit-completion instant that
-//     scheduled it, and the source port's fabric-wide UID — the same key the
-//     serial engine uses for that frame's delivery event (ports schedule
-//     deliveries through a sim.Lane keyed by it). Frames colliding on the
-//     full prefix cannot exist (a port completes at most one transmit per
-//     instant), so merging the remote calendar with the local queue by the
-//     prefix reproduces the serial interleaving exactly. The seq tiebreak
-//     never crosses the merge: it only orders same-shard events, where it
-//     equals the serial restriction (invariant 1).
+//     (at, schedAt, key, seq), and a cross-shard delivery keeps the serial
+//     prefix (at, schedAt, key): arrival time, the transmit-completion
+//     instant that scheduled it, and the source port's fabric-wide UID. Each
+//     port delivers through a sim.Lane keyed by that UID and owned by the
+//     receiver's engine; the barrier pushes a remote frame into it with
+//     Lane.Push stamped with the sender's instants, so the receiving engine
+//     orders it against local events by the serial comparator itself.
+//     Frames colliding on the full prefix cannot exist (a port completes at
+//     most one transmit per instant, and only its lane uses its key), so the
+//     seq the receiving engine stamps never decides a remote frame's place:
+//     it only orders same-shard events, where it equals the serial
+//     restriction (invariant 1).
 //  3. The window end never exceeds min-event-time + lookahead, so every
 //     message generated inside a window is timestamped at or after the next
 //     barrier — no shard can receive a message in its past (the classic
@@ -49,91 +52,11 @@ import (
 // shard is parked at the tick's serial position.
 
 // delivery is one cross-shard frame in flight: a packet that finished
-// serializing on a port whose peer lives in another shard.
+// serializing on src at sentAt, bound for the lane on the peer's engine.
 type delivery struct {
-	at      sim.Time // arrival: transmit completion + propagation delay
-	schedAt sim.Time // transmit completion (serial scheduling instant)
-	srcUID  int32    // source port's fabric-wide UID (the event key)
-	dst     *Port
-	pkt     *packet.Packet
-}
-
-// shardKey is the cross-engine total-order prefix; see invariant 2 above.
-type shardKey struct {
-	at      sim.Time
-	schedAt sim.Time
-	key     int32
-}
-
-func (a shardKey) less(b shardKey) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.schedAt != b.schedAt {
-		return a.schedAt < b.schedAt
-	}
-	return a.key < b.key
-}
-
-// windowEnd is an exclusive window bound covering every event that fires
-// strictly before t.
-func windowEnd(t sim.Time) shardKey { return shardKey{at: t, schedAt: -1} }
-
-// deliveryBefore orders the remote calendar by the serial comparator prefix.
-// The prefix is unique across deliveries: a port completes at most one
-// transmit per instant.
-func deliveryBefore(a, b delivery) bool {
-	if a.at != b.at {
-		return a.at < b.at
-	}
-	if a.schedAt != b.schedAt {
-		return a.schedAt < b.schedAt
-	}
-	return a.srcUID < b.srcUID
-}
-
-// calendar is a binary min-heap of pending remote deliveries.
-type calendar []delivery
-
-func (c *calendar) push(d delivery) {
-	q := append(*c, d)
-	i := len(q) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !deliveryBefore(q[i], q[parent]) {
-			break
-		}
-		q[i], q[parent] = q[parent], q[i]
-		i = parent
-	}
-	*c = q
-}
-
-func (c *calendar) pop() delivery {
-	q := *c
-	top := q[0]
-	n := len(q) - 1
-	q[0] = q[n]
-	q[n] = delivery{}
-	q = q[:n]
-	i := 0
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		child := l
-		if r := l + 1; r < n && deliveryBefore(q[r], q[l]) {
-			child = r
-		}
-		if !deliveryBefore(q[child], q[i]) {
-			break
-		}
-		q[i], q[child] = q[child], q[i]
-		i = child
-	}
-	*c = q
-	return top
+	src    *Port
+	sentAt sim.Time
+	pkt    *packet.Packet
 }
 
 // Shard is one logical process: a node partition with private engine, pool,
@@ -150,10 +73,7 @@ type Shard struct {
 	pauseFrames metrics.Counter
 	longPauses  metrics.Counter
 
-	cal calendar     // inbound remote deliveries, merged with the engine
-	out [][]delivery // outbound per destination shard, drained at barriers
-
-	deliveries uint64 // remote frames delivered into this shard
+	out []delivery // outbound to other shards, drained at barriers
 }
 
 // Engine returns the shard's private event engine.
@@ -165,68 +85,11 @@ func (sh *Shard) Pool() *packet.Pool { return sh.pool }
 // Index returns the shard's position in the partition.
 func (sh *Shard) Index() int { return sh.index }
 
-// headAt returns the earliest pending time across the shard's engine and
-// remote calendar.
-func (sh *Shard) headAt() (sim.Time, bool) {
-	ea, _, _, eok := sh.eng.HeadKey()
-	if len(sh.cal) > 0 {
-		if !eok || sh.cal[0].at < ea {
-			return sh.cal[0].at, true
-		}
-	}
-	return ea, eok
-}
-
 // sendRemote queues a frame that just finished serializing on p for delivery
-// into the peer's shard. Called from shard execution context (single writer
-// per outbox row).
+// into the peer's shard. Called from shard execution context (each outbox
+// has a single writer).
 func (sh *Shard) sendRemote(p *Port, pkt *packet.Packet) {
-	now := p.eng.Now()
-	dst := p.peer
-	sh.out[dst.shard.index] = append(sh.out[dst.shard.index], delivery{
-		at:      now + p.delay,
-		schedAt: now,
-		srcUID:  p.uid,
-		dst:     dst,
-		pkt:     pkt,
-	})
-}
-
-// runWindow drains every event and remote delivery whose key is strictly
-// below end, merging the engine queue with the calendar in serial order.
-func (sh *Shard) runWindow(end shardKey) {
-	for {
-		ea, es, ek2, eok := sh.eng.HeadKey()
-		dok := len(sh.cal) > 0
-		if eok {
-			ek := shardKey{at: ea, schedAt: es, key: ek2}
-			// Full-prefix ties across the merge cannot exist (invariant 2);
-			// the < keeps the comparison total regardless.
-			if !dok || ek.less(sh.cal[0].key()) {
-				if !ek.less(end) {
-					return
-				}
-				sh.eng.Step()
-				continue
-			}
-		} else if !dok {
-			return
-		}
-		dk := sh.cal[0].key()
-		if !dk.less(end) {
-			return
-		}
-		d := sh.cal.pop()
-		if sh.eng.Now() < d.at {
-			sh.eng.AdvanceTo(d.at)
-		}
-		sh.deliveries++
-		d.dst.owner.Receive(d.pkt, d.dst.index)
-	}
-}
-
-func (d delivery) key() shardKey {
-	return shardKey{at: d.at, schedAt: d.schedAt, key: d.srcUID}
+	sh.out = append(sh.out, delivery{src: p, sentAt: p.eng.Now(), pkt: pkt})
 }
 
 // globalTicker is one Network.GlobalTicker registration in sharded mode.
@@ -248,7 +111,7 @@ type ShardStats struct {
 	Lookahead sim.Time
 	// Windows counts barrier-synchronized rounds executed.
 	Windows uint64
-	// Messages counts cross-shard frame deliveries exchanged at barriers.
+	// Messages counts cross-shard frames handed over at barriers.
 	Messages uint64
 	// Ticks counts global-ticker callbacks fired by the coordinator.
 	Ticks uint64
@@ -297,7 +160,6 @@ func (n *Network) ConfigureSharding(shards, workers int) {
 			drops:       metrics.Counter{Name: "drops"},
 			pauseFrames: metrics.Counter{Name: "pause_frames"},
 			longPauses:  metrics.Counter{Name: "long_pauses"},
-			out:         make([][]delivery, shards),
 		})
 	}
 	g.build = g.shards[0]
@@ -341,9 +203,10 @@ func (n *Network) ShardStats() ShardStats {
 }
 
 // TotalEngineStats aggregates scheduler telemetry across the partition so
-// the headline event count matches the serial run exactly: remote deliveries
-// and coordinator ticks are events the serial engine would have processed,
-// and a cross-shard flow start is one serial event split in two.
+// the headline event count matches the serial run exactly: coordinator ticks
+// are events the serial engine would have processed, and a cross-shard flow
+// start is one serial event split in two. Cross-shard deliveries need no
+// correction: they fire on the receiving shard's engine.
 func (n *Network) TotalEngineStats() sim.EngineStats {
 	total := n.Eng.Stats()
 	if n.sharding == nil {
@@ -352,7 +215,7 @@ func (n *Network) TotalEngineStats() sim.EngineStats {
 	g := n.sharding
 	for _, sh := range g.shards {
 		s := sh.eng.Stats()
-		total.Processed += s.Processed + sh.deliveries
+		total.Processed += s.Processed
 		total.Scheduled += s.Scheduled
 		total.Canceled += s.Canceled
 		total.SlotReuses += s.SlotReuses
@@ -434,17 +297,18 @@ func (g *Sharding) nextTick() *globalTicker {
 	return best
 }
 
-// runWindows executes one window [*, end) on every shard, then routes the
-// outboxes into the destination calendars. The barrier (WaitGroup) is the
-// synchronization point that transfers packet ownership between shards.
-func (g *Sharding) runWindows(end shardKey) {
+// runWindows runs every shard up to the bound (at, schedAt, key) — see
+// sim.Engine.RunBefore — then pushes the outboxes into the receivers' lanes.
+// The barrier (WaitGroup) is the synchronization point that transfers packet
+// ownership between shards.
+func (g *Sharding) runWindows(at, schedAt sim.Time, key int32) {
 	w := g.workers
 	if w > len(g.shards) {
 		w = len(g.shards)
 	}
 	if w <= 1 {
 		for _, sh := range g.shards {
-			sh.runWindow(end)
+			sh.eng.RunBefore(at, schedAt, key)
 		}
 	} else {
 		var cursor atomic.Int32
@@ -458,7 +322,7 @@ func (g *Sharding) runWindows(end shardKey) {
 					if j >= len(g.shards) {
 						return
 					}
-					g.shards[j].runWindow(end)
+					g.shards[j].eng.RunBefore(at, schedAt, key)
 				}
 			}()
 		}
@@ -466,18 +330,12 @@ func (g *Sharding) runWindows(end shardKey) {
 	}
 	g.windows++
 	for _, sh := range g.shards {
-		for di := range sh.out {
-			msgs := sh.out[di]
-			if len(msgs) == 0 {
-				continue
-			}
-			dst := g.shards[di]
-			for _, d := range msgs {
-				dst.cal.push(d)
-			}
-			g.messages += uint64(len(msgs))
-			sh.out[di] = sh.out[di][:0]
+		// One source port feeds each lane, in transmit order (invariant 2).
+		for _, d := range sh.out {
+			d.src.lane.Push(d.sentAt+d.src.delay, d.sentAt, d.pkt)
 		}
+		g.messages += uint64(len(sh.out))
+		sh.out = sh.out[:0]
 	}
 }
 
@@ -491,11 +349,10 @@ func (g *Sharding) runUntil(limit sim.Time) {
 	if n.OnFlowComplete != nil {
 		panic("netsim: Network.OnFlowComplete is not supported under sharded execution")
 	}
-	endAll := windowEnd(limit + 1)
 	for {
 		m := sim.Time(-1)
 		for _, sh := range g.shards {
-			if at, ok := sh.headAt(); ok && (m < 0 || at < m) {
+			if at, _, _, ok := sh.eng.HeadKey(); ok && (m < 0 || at < m) {
 				m = at
 			}
 		}
@@ -505,41 +362,31 @@ func (g *Sharding) runUntil(limit sim.Time) {
 			break
 		}
 
-		end := endAll
+		end := limit + 1
 		if m >= 0 && m <= limit && g.lookahead > 0 {
-			if la := windowEnd(m + g.lookahead); la.less(end) {
-				end = la
-			}
+			end = min(end, m+g.lookahead)
 		}
-		fireTick := false
-		if tickPending {
-			// The window stops exactly at the tick's serial ordering key
-			// (at, schedAt, KeyNone): keyed deliveries at the tick instant
-			// still precede it, unkeyed local events at the identical
-			// (at, schedAt) follow it.
-			tkEnd := shardKey{at: tk.next, schedAt: tk.next - tk.period, key: sim.KeyNone}
-			if !end.less(tkEnd) {
-				end = tkEnd
-				fireTick = true
-			}
+		if !tickPending || tk.next >= end {
+			g.runWindows(end, -1, 0) // every event firing before end
+			continue
 		}
-
-		g.runWindows(end)
-
-		if fireTick {
-			at, schedAt := tk.next, tk.next-tk.period
-			if n.Eng.Now() < at {
-				n.Eng.AdvanceTo(at)
+		// The window stops exactly at the tick's serial ordering key
+		// (at, schedAt, KeyNone): keyed deliveries at the tick instant still
+		// precede it, unkeyed local events at the identical (at, schedAt)
+		// follow it.
+		at, schedAt := tk.next, tk.next-tk.period
+		g.runWindows(at, schedAt, sim.KeyNone)
+		if n.Eng.Now() < at {
+			n.Eng.AdvanceTo(at)
+		}
+		for _, t := range g.tickers {
+			if t.stopped || t.next != at || t.next-t.period != schedAt {
+				continue
 			}
-			for _, t := range g.tickers {
-				if t.stopped || t.next != at || t.next-t.period != schedAt {
-					continue
-				}
-				g.ticks++
-				t.fn()
-				if !t.stopped {
-					t.next = at + t.period
-				}
+			g.ticks++
+			t.fn()
+			if !t.stopped {
+				t.next = at + t.period
 			}
 		}
 	}

@@ -17,7 +17,7 @@ import (
 // a strict total order, so firing order — and therefore every downstream
 // measurement — is deterministic, independent of how the heap is arranged,
 // and, for keyed link deliveries, reproducible by the sharded parallel
-// executor (see HeadKey).
+// executor (see Lane.Push and RunBefore).
 
 // Event is a handle to a scheduled callback, returned by Schedule/After so
 // the caller can cancel it (e.g. a retransmission timer disarmed by an ACK).
@@ -67,14 +67,14 @@ type slot struct {
 // KeyNone is the ordering key of every event scheduled without an explicit
 // key. It sorts after all explicit keys, so keyed events (link deliveries)
 // fire before unkeyed ones when both share an (at, schedAt) instant — the
-// canonical collision order the sharded executor reproduces (see HeadKey).
+// canonical collision order the sharded executor reproduces (see RunBefore).
 const KeyNone int32 = math.MaxInt32
 
 // entry is one priority-queue element. It carries the ordering key inline so
 // sift operations never chase into the slot slab.
 type entry struct {
 	at      Time
-	schedAt Time   // engine time when the event was scheduled (see HeadKey)
+	schedAt Time   // scheduling instant (Lane.Push may carry another engine's)
 	seq     uint64 // final tiebreak: scheduling order
 	key     int32  // canonical collision key (KeyNone unless keyed)
 	slot    int32
@@ -401,12 +401,27 @@ func (e *Engine) RunUntil(deadline Time) {
 	}
 }
 
+// RunBefore fires, in order, every pending event whose (at, schedAt, key)
+// prefix sorts strictly before the bound (at, schedAt, key), and leaves the
+// clock at the last event fired. It is the sharded executor's window: the
+// bound (end, -1, 0) covers every event firing before end, and
+// (t, s, KeyNone) stops exactly at the position an unkeyed event scheduled
+// at s for t would take, after any keyed event at the same instant. Stop
+// does not apply: a window always runs to its bound.
+func (e *Engine) RunBefore(at, schedAt Time, key int32) {
+	bound := entry{at: at, schedAt: schedAt, key: key} // seq 0: the prefix decides
+	for {
+		e.sweep()
+		if len(e.queue) == 0 || !e.queue[0].before(bound) {
+			return
+		}
+		e.Step()
+	}
+}
+
 // HeadKey peeks at the earliest pending event and returns its ordering key
-// prefix (firing time, scheduling time, collision key). The triple is the
-// merge key used by the sharded parallel executor: it is meaningful across
-// engines — a cross-shard frame delivery carries the same triple — so the
-// shard loop can merge its calendar of remote deliveries with the local
-// queue in exactly the serial engine's order. Tombstones are swept off the
+// prefix (firing time, scheduling time, collision key). The sharded executor
+// reads the firing time to size its next window. Tombstones are swept off the
 // front so the answer reflects a live event. ok is false when the queue is
 // empty.
 func (e *Engine) HeadKey() (at, schedAt Time, key int32, ok bool) {
@@ -418,10 +433,9 @@ func (e *Engine) HeadKey() (at, schedAt Time, key int32, ok bool) {
 }
 
 // AdvanceTo moves the clock forward to t without firing anything. The
-// sharded executor uses it to position an engine at a remote delivery's
-// timestamp before invoking the receive path, and to align all engines on a
-// window boundary. Moving time backwards panics, exactly like scheduling in
-// the past.
+// sharded executor uses it to align every engine on a global tick or on the
+// end of a run. Moving time backwards panics, exactly like scheduling in the
+// past.
 func (e *Engine) AdvanceTo(t Time) {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: AdvanceTo %v before now %v", t, e.now))

@@ -18,21 +18,25 @@ func (a orderRec) before(b orderRec) bool {
 		entry{at: b.at, schedAt: b.schedAt, key: b.key, seq: b.seq})
 }
 
-// fuzzLanes is the lane count of FuzzEngineOrder; lane i has the fixed
-// delay i+1 and key i, so lane keys collide with AfterArgKeyed keys.
+// fuzzLanes is the lane count of FuzzEngineOrder, for After and for Push
+// lanes alike; lane i has the fixed delay i+1 and key i, so lane keys
+// collide with each other and with AfterArgKeyed keys.
 const fuzzLanes = 3
 
 // runOrderOps drives one engine through the op stream in data, checking
 // each firing against a sorted-slice oracle on (at, schedAt, key, seq), and
-// returns the ids in firing order. With viaLanes false, lane ops go through
-// AfterArgKeyed with the lane's key and delay instead.
+// returns the ids in firing order. With viaLanes false, lane After ops go
+// through AfterArgKeyed with the lane's key and delay instead; Push ops,
+// whose scheduling instant need not be the engine's clock, always use lanes.
 //
 // Each op is two bytes, a kind and a parameter p:
 //
-//	0 Schedule at now+p%8       3 lane p%fuzzLanes
-//	1 AfterArg p%8              4 Cancel a recorded handle
-//	2 AfterArgKeyed p%8, key    5 Step
-//	6 re-arm: cancel and re-schedule one far timer 4+p%32 times
+//	0 Schedule at now+p%8       4 Cancel a recorded handle
+//	1 AfterArg p%8              5 Step
+//	2 AfterArgKeyed p%8, key    6 re-arm: cancel and re-schedule one far
+//	3 lane p%fuzzLanes After      timer 4+p%32 times
+//	7 lane p%fuzzLanes Push at the later of now+p%8, the lane's tail and its
+//	  delay, scheduled one delay earlier (before or after now)
 func runOrderOps(t *testing.T, data []byte, viaLanes bool) []int {
 	e := NewEngine()
 	var fired []int
@@ -53,10 +57,10 @@ func runOrderOps(t *testing.T, data []byte, viaLanes bool) []int {
 			return 1
 		})
 	}
-	record := func(at Time, key int32) int {
+	record := func(at, schedAt Time, key int32) int {
 		id := nextID
 		nextID++
-		r := orderRec{at: at, schedAt: e.Now(), key: key, seq: uint64(id), id: id}
+		r := orderRec{at: at, schedAt: schedAt, key: key, seq: uint64(id), id: id}
 		i, _ := search(r)
 		pending = slices.Insert(pending, i, r)
 		recs[id] = r
@@ -79,8 +83,11 @@ func runOrderOps(t *testing.T, data []byte, viaLanes bool) []int {
 		pending = pending[1:]
 	}
 	lanes := make([]*Lane, fuzzLanes)
+	pushLanes := make([]*Lane, fuzzLanes)
+	pushTail := make([]Time, fuzzLanes)
 	for i := range lanes {
 		lanes[i] = e.NewLane(int32(i), fire)
+		pushLanes[i] = e.NewLane(int32(i), fire)
 	}
 	track := func(ev Event, id int) {
 		handles = append(handles, ev)
@@ -93,21 +100,21 @@ func runOrderOps(t *testing.T, data []byte, viaLanes bool) []int {
 	for k := 0; k+1 < len(data); k += 2 {
 		p := int(data[k+1])
 		d := Time(p % 8)
-		switch data[k] % 7 {
+		switch data[k] % 8 {
 		case 0:
-			id := record(e.Now()+d, KeyNone)
+			id := record(e.Now()+d, e.Now(), KeyNone)
 			track(e.Schedule(e.Now()+d, func() { fire(id) }), id)
 		case 1:
-			id := record(e.Now()+d, KeyNone)
+			id := record(e.Now()+d, e.Now(), KeyNone)
 			track(e.AfterArg(d, fire, id), id)
 		case 2:
 			key := int32(p % 5)
-			id := record(e.Now()+d, key)
+			id := record(e.Now()+d, e.Now(), key)
 			track(e.AfterArgKeyed(d, key, fire, id), id)
 		case 3:
 			i := p % fuzzLanes
 			ld := Time(i + 1)
-			id := record(e.Now()+ld, int32(i))
+			id := record(e.Now()+ld, e.Now(), int32(i))
 			if viaLanes {
 				lanes[i].After(ld, id)
 			} else {
@@ -129,9 +136,16 @@ func runOrderOps(t *testing.T, data []byte, viaLanes bool) []int {
 					drop(farID)
 				}
 				e.Cancel(far)
-				farID = record(e.Now()+1000, KeyNone)
+				farID = record(e.Now()+1000, e.Now(), KeyNone)
 				far = e.AfterArg(1000, fire, farID)
 			}
+		case 7:
+			i := p % fuzzLanes
+			ld := Time(i + 1)
+			at := max(e.Now()+d, pushTail[i], ld)
+			id := record(at, at-ld, int32(i))
+			pushLanes[i].Push(at, at-ld, id)
+			pushTail[i] = at
 		}
 		if e.Pending() != len(pending) {
 			t.Fatalf("engine has %d pending events, oracle %d", e.Pending(), len(pending))
@@ -154,14 +168,15 @@ func runOrderOps(t *testing.T, data []byte, viaLanes bool) []int {
 
 // FuzzEngineOrder checks the engine's firing order against a sorted-slice
 // oracle on (at, schedAt, key, seq) across random streams of Schedule,
-// AfterArg, AfterArgKeyed, lane and Cancel calls interleaved with Steps —
-// including cancel churn heavy enough to force tombstone compaction — and
-// that sending the lane events through AfterArgKeyed instead fires the same
-// sequence.
+// AfterArg, AfterArgKeyed, lane After and Push, and Cancel calls interleaved
+// with Steps — including cancel churn heavy enough to force tombstone
+// compaction — and that sending the lane After events through AfterArgKeyed
+// instead fires the same sequence.
 func FuzzEngineOrder(f *testing.F) {
 	f.Add([]byte{3, 0, 3, 1, 2, 0, 0, 0, 5, 0, 3, 2, 5, 0})
 	f.Add([]byte{6, 200, 1, 3, 6, 90, 4, 0, 5, 0, 6, 255, 5, 0, 2, 4})
 	f.Add([]byte{3, 0, 3, 0, 3, 3, 2, 1, 2, 6, 0, 1, 5, 0, 5, 0, 3, 1, 4, 1})
+	f.Add([]byte{7, 0, 7, 3, 2, 1, 5, 0, 7, 4, 3, 0, 5, 0, 7, 9, 7, 1, 2, 2})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
 			data = data[:256] // longer streams only slow minimisation down

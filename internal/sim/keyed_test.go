@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 func mustPanic(t *testing.T, name string, fn func()) {
 	t.Helper()
@@ -117,9 +120,9 @@ func TestHeadKeyPrefix(t *testing.T) {
 	}
 }
 
-// TestAdvanceTo pins the clock-positioning primitive the shard loop uses
-// before injecting a remote delivery: forward moves are exact, backward
-// moves panic.
+// TestAdvanceTo pins the clock-positioning primitive the sharded executor
+// uses to align engines on a global tick or the end of a run: forward moves
+// are exact, backward moves panic.
 func TestAdvanceTo(t *testing.T) {
 	e := NewEngine()
 	e.AdvanceTo(42)
@@ -128,4 +131,45 @@ func TestAdvanceTo(t *testing.T) {
 	}
 	e.AdvanceTo(42) // idempotent
 	mustPanic(t, "backward AdvanceTo", func() { e.AdvanceTo(41) })
+}
+
+// TestRunBeforeBound pins the window primitive of the sharded executor: it
+// fires exactly the events whose (at, schedAt, key) prefix sorts strictly
+// below the bound, skips cancelled heads, and leaves the clock at the last
+// event fired.
+func TestRunBeforeBound(t *testing.T) {
+	e := NewEngine()
+	var got []int
+	rec := func(v any) { got = append(got, v.(int)) }
+	e.AfterArg(5, rec, 1)
+	e.AfterArgKeyed(10, 3, rec, 2) // (10, 0, 3)
+	e.AfterArg(10, rec, 3)         // (10, 0, KeyNone)
+
+	// (10, -1, 0) covers every event firing before 10 and nothing at 10.
+	e.RunBefore(10, -1, 0)
+	if len(got) != 1 || got[0] != 1 || e.Now() != 5 {
+		t.Fatalf("RunBefore(10, -1, 0) fired %v, now %v; want [1] at 5", got, e.Now())
+	}
+
+	// (10, 0, KeyNone) is where an unkeyed event scheduled at 0 for 10
+	// sits: the keyed event at that instant fires, the unkeyed one does not.
+	e.RunBefore(10, 0, KeyNone)
+	if len(got) != 2 || got[1] != 2 || e.Now() != 10 {
+		t.Fatalf("RunBefore(10, 0, KeyNone) fired %v, now %v; want [1 2] at 10", got, e.Now())
+	}
+	if at, schedAt, key, ok := e.HeadKey(); !ok || at != 10 || schedAt != 0 || key != KeyNone {
+		t.Fatalf("HeadKey = (%v, %v, %d, %v), want the unkeyed event", at, schedAt, key, ok)
+	}
+
+	// A cancelled head is swept, not fired, and does not stop the window.
+	dead := e.AfterArg(2, rec, 4)
+	e.AfterArg(3, rec, 5)
+	e.Cancel(dead)
+	e.RunBefore(20, -1, 0)
+	if want := []int{1, 2, 3, 5}; !slices.Equal(got, want) || e.Now() != 13 {
+		t.Fatalf("fired %v, now %v; want %v at 13", got, e.Now(), want)
+	}
+	if e.Pending() != 0 {
+		t.Fatalf("Pending = %d after the last window", e.Pending())
+	}
 }

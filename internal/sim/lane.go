@@ -3,17 +3,20 @@ package sim
 import "fmt"
 
 // Lane is a FIFO of keyed events whose ordering keys only grow: every event
-// is scheduled with the lane's key, and its firing time is never earlier
-// than that of the event queued before it. Such a stream already fires in
-// queue order, so the lane keeps only its head in the engine's heap; when
-// the head fires, the next entry takes its place in the heap with the
-// (at, schedAt, key, seq) it was stamped with at enqueue. The engine
-// therefore fires exactly the events, in exactly the order, that
+// is scheduled with the lane's key, and its (firing time, scheduling time)
+// pair is never earlier than that of the event queued before it. Such a
+// stream already fires in queue order, so the lane keeps only its head in
+// the engine's heap; when the head fires, the next entry takes its place in
+// the heap with the (at, schedAt, key, seq) it was stamped with at enqueue.
+// The engine therefore fires exactly the events, in exactly the order, that
 // AfterArgKeyed would have produced for the same calls, while its heap holds
 // one entry per lane instead of one per event.
 //
 // A link's deliveries meet the contract: the propagation delay is constant
-// and scheduling times never decrease. Lane events cannot be cancelled.
+// and scheduling times never decrease. That holds whether the source port
+// runs on the lane's engine (After) or on another shard's engine, whose
+// frames arrive at barriers in transmit order (Push). Lane events cannot be
+// cancelled.
 type Lane struct {
 	e   *Engine
 	key int32
@@ -45,18 +48,35 @@ func (e *Engine) NewLane(key int32, fn func(any)) *Lane {
 	return &Lane{e: e, key: key, fn: fn}
 }
 
-// After queues fn(arg) to fire d after the current time. The firing time
-// must not precede that of the lane's last queued event; a violation
-// panics, since the lane would otherwise fire out of order.
+// After queues fn(arg) to fire d after the current time: Push(now+d, now,
+// arg).
 func (l *Lane) After(d Time, arg any) {
-	e := l.e
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v", d))
 	}
-	ent := laneEntry{at: e.now + d, schedAt: e.now, seq: e.seq, arg: arg}
+	l.Push(l.e.now+d, l.e.now, arg)
+}
+
+// Push queues fn(arg) to fire at time at, ordered as if it had been scheduled at
+// schedAt — which may lie on another engine's clock, ahead of or behind this
+// one's. The sharded executor uses it to hand a cross-shard frame to the
+// receiver's lane with the transmit-completion instant of the source port.
+// Scheduling in the past, a schedAt after at, or an (at, schedAt) before the
+// lane's last queued event panics: the lane would otherwise fire out of order.
+func (l *Lane) Push(at, schedAt Time, arg any) {
+	e := l.e
+	if at < e.now {
+		panic(fmt.Sprintf("sim: schedule at %v before now %v", at, e.now))
+	}
+	if schedAt > at {
+		panic(fmt.Sprintf("sim: lane event scheduled at %v fires earlier, at %v", schedAt, at))
+	}
+	ent := laneEntry{at: at, schedAt: schedAt, seq: e.seq, arg: arg}
 	if l.n > 0 {
-		if last := l.buf[(l.head+l.n-1)&(len(l.buf)-1)]; ent.at < last.at {
-			panic(fmt.Sprintf("sim: lane event at %v before queued %v", ent.at, last.at))
+		last := l.buf[(l.head+l.n-1)&(len(l.buf)-1)]
+		if at < last.at || at == last.at && schedAt < last.schedAt {
+			panic(fmt.Sprintf("sim: lane event (%v, %v) before queued (%v, %v)",
+				at, schedAt, last.at, last.schedAt))
 		}
 	} else {
 		l.arm(ent)

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"slices"
+	"testing"
+)
 
 // TestLaneValidation pins the lane contract: keys as in AfterArgKeyed,
 // non-nil callbacks, non-negative delays, and firing times that never
@@ -23,6 +26,69 @@ func TestLaneValidation(t *testing.T) {
 	e.Run()
 	if e.Pending() != 0 || e.Processed() != 2 {
 		t.Fatalf("after Run: Pending = %d, Processed = %d", e.Pending(), e.Processed())
+	}
+}
+
+// TestLanePushValidation pins Push's contract: nothing in the engine's past,
+// no scheduling instant after the firing time, and no (at, schedAt) before
+// the lane's last queued event. A scheduling instant ahead of the engine's
+// clock is legal: it is the sender's, on another engine.
+func TestLanePushValidation(t *testing.T) {
+	e := NewEngine()
+	l := e.NewLane(1, func(any) {})
+	e.AdvanceTo(10)
+	mustPanic(t, "at before now", func() { l.Push(9, 0, nil) })
+	mustPanic(t, "schedAt after at", func() { l.Push(20, 21, nil) })
+	l.Push(20, 15, nil) // schedAt ahead of now
+	l.Push(20, 15, nil) // an equal key keeps FIFO order
+	mustPanic(t, "at before the lane's tail", func() { l.Push(19, 12, nil) })
+	mustPanic(t, "schedAt before the tail's at the same at", func() { l.Push(20, 14, nil) })
+	l.Push(20, 16, nil)
+	if e.Pending() != 3 {
+		t.Fatalf("Pending = %d after three queued events", e.Pending())
+	}
+	e.Run()
+	if e.Processed() != 3 || e.Now() != 20 {
+		t.Fatalf("Processed = %d, Now = %v; want 3 at 20", e.Processed(), e.Now())
+	}
+}
+
+// TestLanePushMatchesAfterArgKeyed checks the barrier hand-off: a stream
+// pushed in advance with explicit scheduling instants fires in the same
+// order, among colliding keyed and unkeyed events, as the same stream sent
+// through AfterArgKeyed from those instants.
+func TestLanePushMatchesAfterArgKeyed(t *testing.T) {
+	const d = 7
+	sends := []Time{0, 1, 3, 4, 5, 9, 10, 14}
+	run := func(push bool) []int {
+		e := NewEngine()
+		var got []int
+		rec := func(v any) { got = append(got, v.(int)) }
+		if push {
+			l := e.NewLane(5, rec)
+			for i, s := range sends {
+				l.Push(s+d, s, i) // scheduling instants still ahead of now
+			}
+		}
+		next := 0
+		for s := Time(0); s <= 15; s++ {
+			e.Schedule(s, func() {
+				if !push && next < len(sends) && sends[next] == s {
+					e.AfterArgKeyed(d, 5, rec, next)
+					next++
+				}
+				e.AfterArgKeyed(d, 2, rec, 100+int(s)) // lower key: fires first
+				e.AfterArgKeyed(d, 9, rec, 200+int(s)) // higher key: fires after
+				e.AfterArg(d, rec, 300+int(s))         // unkeyed: fires last
+				e.AfterArg(d-1, rec, 400+int(s))       // earlier instant
+			})
+		}
+		e.Run()
+		return got
+	}
+	pushed, keyed := run(true), run(false)
+	if len(keyed) != len(sends)+4*16 || !slices.Equal(pushed, keyed) {
+		t.Fatalf("pushed lane fired %v,\nAfterArgKeyed fired %v", pushed, keyed)
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/exp"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/scenario"
@@ -93,7 +94,7 @@ func New(cfg Config) (*Server, error) {
 	}
 	// The shared job pool is sized by the central GOMAXPROCS budget (jobs
 	// submitted to the service run serial simulations, so simWorkers is 1).
-	workers := harness.PoolWorkers(cfg.Workers, 0)
+	workers := exp.PoolWorkers(cfg.Workers, 0)
 	logger := cfg.Logger
 	if logger == nil {
 		logger, _ = obs.NewLogger(obs.LogOff, nil)

@@ -1,8 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// at CI scale (full-scale parameter sets live behind cmd/fnccsim and
-// cmd/fctsweep). Each benchmark reports the figure's headline quantity via
-// b.ReportMetric, so `go test -bench=.` prints the reproduction numbers
-// alongside the runtime cost. DESIGN.md's experiment index maps figures to
+// at CI scale (full-scale parameter sets are the registry scenarios that
+// `fnccbench sweep` runs, plus cmd/fctsweep for Figs 14/15). Each benchmark
+// reports the figure's headline quantity via b.ReportMetric, so
+// `go test -bench=.` prints the reproduction numbers alongside the runtime
+// cost. DESIGN.md's experiment index maps figures to
 // these benchmarks.
 package fncc
 
@@ -191,17 +192,18 @@ func BenchmarkFig15HadoopFCT(b *testing.B) {
 func BenchmarkNotificationLatency(b *testing.B) {
 	for _, scheme := range []string{SchemeFNCC, SchemeHPCC} {
 		b.Run(scheme, func(b *testing.B) {
+			sp, err := LookupScenario("notify-first")
+			if err != nil {
+				b.Fatal(err)
+			}
+			sp.Scheme = scheme
 			var firstHop float64
 			for i := 0; i < b.N; i++ {
-				rows, err := RunNotify(exp.NotifyConfig{Schemes: []string{scheme}, RateBps: 100e9})
+				res, err := RunScenario(sp)
 				if err != nil {
 					b.Fatal(err)
 				}
-				for _, r := range rows {
-					if r.Hop == HopFirst {
-						firstHop = r.Latency.Micros()
-					}
-				}
+				firstHop = res.Metrics["notify_latency_us"]
 			}
 			b.ReportMetric(firstHop, "firstHopNotify_us")
 		})

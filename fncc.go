@@ -213,7 +213,6 @@ type (
 var (
 	DefaultMicroConfig    = exp.DefaultMicroConfig
 	RunMicro              = exp.RunMicro
-	RunMicroAll           = exp.RunMicroAll
 	DefaultHopConfig      = exp.DefaultHopConfig
 	RunHop                = exp.RunHop
 	DefaultFairnessConfig = exp.DefaultFairnessConfig
@@ -221,11 +220,8 @@ var (
 	DefaultFCTConfig      = exp.DefaultFCTConfig
 	RunFCT                = exp.RunFCT
 	RunFCTSweep           = exp.RunFCTSweep
-	RunNotify             = exp.RunNotify
-	DefaultNotifyConfig   = exp.DefaultNotifyConfig
 	DefaultIncastConfig   = exp.DefaultIncastConfig
 	RunIncast             = exp.RunIncast
-	FormatIncastTable     = exp.FormatIncastTable
 )
 
 // Declarative scenarios and the sweep harness (cmd/fnccbench drives these
@@ -382,9 +378,6 @@ const (
 
 // Table formatters.
 var (
-	FormatMicroTable  = exp.FormatMicroTable
-	FormatHopTable    = exp.FormatHopTable
-	FormatNotifyTable = exp.FormatNotifyTable
-	FormatFCTTables   = exp.FormatFCTTables
-	FormatHeadlines   = exp.FormatHeadlines
+	FormatFCTTables = exp.FormatFCTTables
+	FormatHeadlines = exp.FormatHeadlines
 )

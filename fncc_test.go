@@ -77,11 +77,12 @@ func TestFacadeRunners(t *testing.T) {
 	if err != nil || r.QueuePeak <= 0 {
 		t.Fatalf("RunMicro via facade: %v", err)
 	}
-	rows, err := RunNotify(DefaultNotifyConfig())
-	if err != nil || len(rows) == 0 {
-		t.Fatalf("RunNotify via facade: %v", err)
+	sp, err := LookupScenario("notify-first")
+	if err != nil {
+		t.Fatal(err)
 	}
-	if FormatMicroTable(100e9, []*MicroResult{r}) == "" {
-		t.Fatal("empty table")
+	res, err := RunScenario(sp)
+	if err != nil || res.Metrics["notify_latency_us"] <= 0 {
+		t.Fatalf("notify scenario via facade: %v %v", err, res)
 	}
 }

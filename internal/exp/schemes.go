@@ -1,7 +1,8 @@
-// Package exp contains the experiment harness: one runner per table/figure
-// of the paper's evaluation (§5), a scheme registry, result tables, and a
-// parallel multi-seed executor. DESIGN.md's experiment index maps each
-// figure to the runner here that regenerates it.
+// Package exp contains one runner per table/figure of the paper's
+// evaluation (§5), the scheme registry, the FCT bucket tables and the
+// worker pool the sweeps run on. The registry scenarios in
+// internal/scenario drive these runners; DESIGN.md's experiment index maps
+// each figure to its runner and scenario.
 package exp
 
 import (

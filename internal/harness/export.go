@@ -155,11 +155,15 @@ func WriteCSV(w io.Writer, rows []Row) error {
 }
 
 // FormatTable renders rows as an aligned text table for terminals, keeping
-// at most the first six metric columns (CSV/JSON carry the full set).
+// at most the first six model-output columns; execution metrics
+// (engine_*, pool rates, parallel_*, ...) are left to CSV/JSON, which carry
+// the full set.
 func FormatTable(rows []Row) string {
-	cols := metricColumns(rows)
-	if len(cols) > 6 {
-		cols = cols[:6]
+	var cols []string
+	for _, c := range metricColumns(rows) {
+		if scenario.IsModelMetric(c) && len(cols) < 6 {
+			cols = append(cols, c)
+		}
 	}
 	out := fmt.Sprintf("%-24s %-12s %-12s %-7s %5s %6s %6s %5s", "name", "kind", "scheme", "backend", "size", "load", "seed", "runs")
 	for _, c := range cols {

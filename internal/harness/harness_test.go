@@ -252,4 +252,19 @@ func TestExport(t *testing.T) {
 	if tbl := FormatTable(agg); !strings.Contains(tbl, "FNCC") || !strings.Contains(tbl, "HPCC") {
 		t.Errorf("table missing schemes:\n%s", tbl)
 	}
+	// The table shows model outputs only; CSV keeps the execution metrics.
+	if !strings.Contains(lines[0], "engine_events") {
+		t.Errorf("CSV header lost the execution metrics: %q", lines[0])
+	}
+	micro := []Row{{Name: "micro", Kind: scenario.KindMicro, Scheme: "FNCC", Metrics: map[string]float64{
+		"alloc_bytes_per_run": 1, "drops": 0, "engine_events": 1, "engine_events_per_sec": 1,
+		"event_reuse_rate": 1, "first_slowdown_us": 309, "mean_util": 0.9, "pause_frames": 0,
+		"pool_hit_rate": 1, "queue_peak_bytes": 103224, "resume_frames": 0,
+	}}}
+	header := strings.Fields(strings.SplitN(FormatTable(micro), "\n", 2)[0])
+	cols := []string{"drops", "first_slowdown_us", "mean_util", "pause_frames", "queue_peak_bytes", "resume_frames"}
+	if got := header[len(header)-len(cols):]; strings.Join(got, ",") != strings.Join(cols, ",") ||
+		len(header) != 8+len(cols) {
+		t.Errorf("micro table columns %v, want the model outputs %v", header, cols)
+	}
 }

@@ -188,3 +188,51 @@ func TestGoldenRunTwiceIdentical(t *testing.T) {
 		}
 	}
 }
+
+// goldenNotify is the Fig 2/12 notification-latency matrix (µs) at the
+// registry's notify defaults, as the exp notify runner printed it before
+// it became a scenario kind.
+var goldenNotify = map[string]map[string]float64{
+	"FNCC": {"first": 9.0, "middle": 9.8, "last": 6.8},
+	"HPCC": {"first": 18.6, "middle": 16.8, "last": 15.4},
+}
+
+// TestGoldenNotifyLatency pins notify_latency_us bit-exactly per scheme
+// and congested hop.
+func TestGoldenNotifyLatency(t *testing.T) {
+	for scheme, hops := range goldenNotify {
+		for hop, want := range hops {
+			res, err := Run(Spec{Kind: KindNotify, Scheme: scheme, Hop: hop})
+			if err != nil {
+				t.Fatalf("%s@%s: %v", scheme, hop, err)
+			}
+			checkGolden(t, "notify/"+scheme+"@"+hop, res.Metrics,
+				map[string]float64{"notify_latency_us": want})
+		}
+	}
+}
+
+// TestNotifyKindOrdering checks the paper's claims on the notify kind:
+// FNCC's first-hop notification undercuts HPCC's, and FNCC reacts within
+// one base RTT of the M=3 dumbbell at 100G (~13.5 µs) at every hop.
+func TestNotifyKindOrdering(t *testing.T) {
+	latency := func(scheme, hop string) float64 {
+		res, err := Run(Spec{Kind: KindNotify, Scheme: scheme, Hop: hop})
+		if err != nil {
+			t.Fatal(err)
+		}
+		l := res.Metrics["notify_latency_us"]
+		if l < 0 {
+			t.Fatalf("%s@%s never reacted", scheme, hop)
+		}
+		return l
+	}
+	if f, h := latency("FNCC", "first"), latency("HPCC", "first"); f >= h {
+		t.Errorf("first-hop latency: FNCC %vus !< HPCC %vus", f, h)
+	}
+	for _, hop := range []string{"first", "middle", "last"} {
+		if l := latency("FNCC", hop); l >= 13.5 {
+			t.Errorf("FNCC@%s notification %vus is not sub-RTT (13.5us)", hop, l)
+		}
+	}
+}

@@ -121,6 +121,11 @@ var differentialMatrix = []struct {
 	{"mixed", Spec{Kind: KindMixed, Scheme: "FNCC", DurationUs: 400}},
 	{"micro-hpcc", Spec{Kind: KindMicro, Scheme: "HPCC",
 		CC: map[string]float64{"eta": 0.9}, DurationUs: 500}},
+	// A 1 µs probe tick collides with keyed link deliveries, which pins the
+	// (at, schedAt, key) order of a shard window's tick bound.
+	{"micro-dcqcn-tick1us", Spec{Kind: KindMicro, Scheme: "DCQCN", DurationUs: 400,
+		Telemetry: &TelemetrySpec{IntervalUs: 1, Probes: []string{"queue", "switch", "host", "cc"}}}},
+	{"notify-first", Spec{Kind: KindNotify, Scheme: "FNCC", Hop: "first"}},
 }
 
 // TestParallelMatchesSerial is the differential matrix from the parallel

@@ -39,38 +39,60 @@ func (r *Result) MetricNames() []string {
 	return names
 }
 
-// knownMetrics indexes every metric any kind can emit; Validate rejects
-// Collect entries outside it.
-var knownMetrics = map[string]bool{
-	"queue_peak_bytes": true, "mean_util": true, "pause_frames": true,
-	"resume_frames": true, "drops": true, "first_slowdown_us": true,
-	"lhcs_triggers": true, "jain_all_active": true, "duration_us": true,
-	"completed": true, "generated": true, "offered_load": true,
-	"slowdown_avg": true, "slowdown_median": true, "slowdown_p95": true,
-	"slowdown_p99": true, "all_done_us": true, "jain_min": true,
-	"makespan_us": true, "completed_all": true, "burst_flows": true,
+// modelKeys are the model outputs any kind can emit: what the simulated
+// network did.
+var modelKeys = []string{
+	"queue_peak_bytes", "mean_util", "pause_frames", "resume_frames",
+	"drops", "first_slowdown_us", "lhcs_triggers", "jain_all_active",
+	"duration_us", "completed", "generated", "offered_load",
+	"slowdown_avg", "slowdown_median", "slowdown_p95", "slowdown_p99",
+	"all_done_us", "jain_min", "makespan_us", "completed_all",
+	"burst_flows", "notify_latency_us",
+}
+
+// execKeys are the execution metrics: how the simulator ran, not what it
+// simulated.
+var execKeys = []string{
 	// Simulator-performance telemetry (exp.PerfStats), attached to every
 	// run so sweeps regression-track engine throughput and pool efficiency.
 	// The engine/pool rates are deterministic; the wall-clock and
 	// allocation counters are host-dependent trend indicators.
-	"engine_events": true, "engine_events_per_sec": true,
-	"event_reuse_rate": true, "pool_hit_rate": true,
-	"mallocs_per_run": true, "alloc_bytes_per_run": true,
+	"engine_events", "engine_events_per_sec", "event_reuse_rate",
+	"pool_hit_rate", "mallocs_per_run", "alloc_bytes_per_run",
 	// Fluid-backend incremental-engine telemetry: full vs worklist passes
 	// and the affected fraction (links/flows/heap keys touched per event).
 	// Deterministic for a given spec, like engine_events.
-	"fluid_full_passes": true, "fluid_incremental_passes": true,
-	"fluid_links_touched_per_event": true, "fluid_flows_touched_per_event": true,
-	"fluid_heap_invalidations_per_event": true,
+	"fluid_full_passes", "fluid_incremental_passes",
+	"fluid_links_touched_per_event", "fluid_flows_touched_per_event",
+	"fluid_heap_invalidations_per_event",
 	// Telemetry bookkeeping, present only when the spec has a telemetry
 	// block: probe samples recorded and trace events captured.
-	"telemetry_samples": true, "trace_events": true,
+	"telemetry_samples", "trace_events",
 	// Parallel-executor telemetry, present only when workers > 1 sharded
 	// the run: partition size, worker count, barrier rounds and cross-shard
 	// frame deliveries. All deterministic for a given spec.
-	"parallel_workers": true, "parallel_shards": true,
-	"parallel_windows": true, "cross_shard_messages": true,
+	"parallel_workers", "parallel_shards", "parallel_windows",
+	"cross_shard_messages",
 }
+
+var (
+	modelMetrics = setOf(modelKeys...)
+	// knownMetrics indexes every metric any kind can emit; Validate
+	// rejects Collect entries outside it.
+	knownMetrics = setOf(append(modelKeys, execKeys...)...)
+)
+
+func setOf(keys ...string) map[string]bool {
+	m := make(map[string]bool, len(keys))
+	for _, k := range keys {
+		m[k] = true
+	}
+	return m
+}
+
+// IsModelMetric reports whether name is a model output rather than an
+// execution metric; table formatters show only these.
+func IsModelMetric(name string) bool { return modelMetrics[name] }
 
 // perfMetrics folds a runner's PerfStats into the flat metric map.
 func perfMetrics(m map[string]float64, p exp.PerfStats) {
@@ -211,6 +233,8 @@ func RunWithSink(sp Spec, sink Sink) (*Result, error) {
 		m, tel, err = runMicro(n)
 	case KindHop:
 		m, tel, err = runHop(n)
+	case KindNotify:
+		m, tel, err = runNotify(n)
 	case KindFairness:
 		m, tel, err = runFairness(n)
 	case KindFCT:
@@ -279,14 +303,19 @@ func runMicro(sp Spec) (map[string]float64, *telemetry.Output, error) {
 	return m, r.Telemetry, nil
 }
 
-func runHop(sp Spec) (map[string]float64, *telemetry.Output, error) {
+// hopConfig maps a hop or notify spec onto the hop runner.
+func hopConfig(sp Spec) exp.HopConfig {
 	cfg := exp.DefaultHopConfig(sp.Scheme, exp.HopPosition(sp.Hop))
 	cfg.RateBps = sp.Topo.RateBps()
 	cfg.Duration = sp.Duration()
 	cfg.MakeScheme = schemeBuilder(sp)
 	cfg.Telemetry = sp.Telemetry.Config()
 	cfg.Workers = sp.Workers
-	r, err := exp.RunHop(cfg)
+	return cfg
+}
+
+func runHop(sp Spec) (map[string]float64, *telemetry.Output, error) {
+	r, err := exp.RunHop(hopConfig(sp))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -295,6 +324,31 @@ func runHop(sp Spec) (map[string]float64, *telemetry.Output, error) {
 		"mean_util":        r.MeanUtil,
 		"lhcs_triggers":    float64(r.LHCSTriggers),
 	}
+	perfMetrics(m, r.Perf)
+	return m, r.Telemetry, nil
+}
+
+// runNotify measures the notification latency of Fig 2/12: the time from
+// flow 1's join (persistent, so congestion has one clean onset edge) to the
+// first 200 ns sample where flow 0 paces below 85% of line rate; -1 if it
+// never does.
+func runNotify(sp Spec) (map[string]float64, *telemetry.Output, error) {
+	cfg := hopConfig(sp)
+	cfg.Flow1Stop = false
+	cfg.SampleEvery = 200 * sim.Nanosecond
+	r, err := exp.RunHop(cfg)
+	if err != nil {
+		return nil, nil, err
+	}
+	lat := sim.Time(-1)
+	threshold := 0.85 * float64(cfg.RateBps)
+	for _, p := range r.Rates[0].Points {
+		if p.T >= cfg.Flow1Start && p.V < threshold {
+			lat = p.T - cfg.Flow1Start
+			break
+		}
+	}
+	m := map[string]float64{"notify_latency_us": timeUs(lat)}
 	perfMetrics(m, r.Perf)
 	return m, r.Telemetry, nil
 }

@@ -153,6 +153,10 @@ func TestValidateRejects(t *testing.T) {
 		{"bad cdf", func(s *Spec) { s.Kind = KindFCT; s.Workload.CDF = "uniform" }},
 		{"bad hop", func(s *Spec) { s.Kind = KindHop; s.Hop = "fourth" }},
 		{"fanout 1", func(s *Spec) { s.Kind = KindIncast; s.Workload.Fanout = 1 }},
+		{"one micro sender", func(s *Spec) { s.Topo.Senders = 1 }},
+		{"one fairness sender", func(s *Spec) { s.Kind = KindFairness; s.Topo.Senders = 1 }},
+		{"bad notify hop", func(s *Spec) { s.Kind = KindNotify; s.Hop = "fourth" }},
+		{"senders on notify", func(s *Spec) { s.Kind = KindNotify; s.Topo.Senders = 3 }},
 		{"negative duration", func(s *Spec) { s.DurationUs = -5 }},
 		{"oversub below 1", func(s *Spec) { s.Kind = KindFCT; s.Topo.Oversub = 0.5 }},
 		{"bad collect", func(s *Spec) { s.Collect = []string{"latency"} }},
@@ -238,6 +242,8 @@ func TestRunEveryKind(t *testing.T) {
 		{Spec{Kind: KindMixed, Scheme: "FNCC", Topo: TopoSpec{K: 4}, DurationUs: 600,
 			Workload: WorkloadSpec{Fanout: 4, FlowBytes: 20_000, BurstEveryUs: 200}},
 			[]string{"completed", "burst_flows", "slowdown_avg"}},
+		{Spec{Kind: KindNotify, Scheme: "FNCC", Hop: "first"},
+			[]string{"notify_latency_us"}},
 	}
 	for _, tc := range cases {
 		tc := tc

@@ -46,17 +46,21 @@ const (
 	// KindMixed layers periodic incast bursts over a Poisson background
 	// workload on a fat-tree.
 	KindMixed = "mixed"
+	// KindNotify is the Fig 2/12 notification-latency probe: the hop
+	// study with a persistent joining flow, reporting how long flow 0
+	// takes to slow down after the join.
+	KindNotify = "notify"
 )
 
 // Kinds lists every runnable scenario kind in canonical order.
 func Kinds() []string {
 	return []string{KindMicro, KindHop, KindFairness, KindFCT, KindIncast,
-		KindPermutation, KindAllToAll, KindMixed}
+		KindPermutation, KindAllToAll, KindMixed, KindNotify}
 }
 
 // chainKinds run on the dumbbell chain, fatTreeKinds on the fat-tree.
 var (
-	chainKinds   = map[string]bool{KindMicro: true, KindHop: true, KindFairness: true, KindIncast: true}
+	chainKinds   = map[string]bool{KindMicro: true, KindHop: true, KindFairness: true, KindIncast: true, KindNotify: true}
 	fatTreeKinds = map[string]bool{KindFCT: true, KindPermutation: true, KindAllToAll: true, KindMixed: true}
 )
 
@@ -101,7 +105,8 @@ func fluidKindNames() []string {
 const FluidSchemeCCKey = "fluid_tau_rtts"
 
 // TopoSpec declares the fabric. Kind is derived from the scenario kind when
-// empty ("chain" for micro/hop/fairness/incast, "fattree" for the rest).
+// empty ("chain" for micro/hop/notify/fairness/incast, "fattree" for the
+// rest).
 type TopoSpec struct {
 	// Kind is "chain" or "fattree".
 	Kind string `json:"kind,omitempty"`
@@ -180,11 +185,12 @@ type Spec struct {
 	Load float64 `json:"load,omitempty"`
 	// Seed drives workload generation and fabric randomness.
 	Seed int64 `json:"seed,omitempty"`
-	// DurationUs bounds the run: observation window (micro/hop), arrival
+	// DurationUs bounds the run: observation window (micro/hop/notify), arrival
 	// horizon (fct/mixed) or completion deadline (incast/permutation/
 	// alltoall). Fairness derives its span from StaggerUs instead.
 	DurationUs int64 `json:"duration_us,omitempty"`
-	// Hop is the congestion position for KindHop: first|middle|last.
+	// Hop is the congestion position for KindHop and KindNotify:
+	// first|middle|last.
 	Hop string `json:"hop,omitempty"`
 	// Collect filters the metrics kept in the Result; empty keeps all.
 	Collect []string `json:"collect,omitempty"`
@@ -287,9 +293,11 @@ func (s Spec) Normalized() Spec {
 	case KindHop:
 		defInt(&n.Topo.Senders, 2)
 		defInt64(&n.DurationUs, 800)
-		if n.Hop == "" {
-			n.Hop = "last"
-		}
+		defStr(&n.Hop, "last")
+	case KindNotify:
+		defInt(&n.Topo.Senders, 2)
+		defInt64(&n.DurationUs, 600)
+		defStr(&n.Hop, "last")
 	case KindFairness:
 		defInt(&n.Topo.Senders, 4)
 		defInt64(&n.Workload.StaggerUs, 1000)
@@ -455,7 +463,7 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario: unknown workload CDF %q", n.Workload.CDF)
 		}
 	}
-	if n.Kind == KindHop {
+	if in(n.Kind, KindHop, KindNotify) {
 		switch n.Hop {
 		case "first", "middle", "last":
 		default:
@@ -464,6 +472,9 @@ func (s Spec) Validate() error {
 	}
 	if (n.Kind == KindIncast || n.Kind == KindMixed) && n.Workload.Fanout < 2 {
 		return fmt.Errorf("scenario: fanout %d must be >= 2", n.Workload.Fanout)
+	}
+	if in(n.Kind, KindMicro, KindFairness) && n.Topo.Senders < 2 {
+		return fmt.Errorf("scenario: kind %q needs topo.senders >= 2, got %d", n.Kind, n.Topo.Senders)
 	}
 	if n.Kind != KindFairness && n.DurationUs <= 0 {
 		return fmt.Errorf("scenario: non-positive duration %dus", n.DurationUs)
@@ -527,8 +538,8 @@ func (n Spec) validateKnobUse() error {
 		// generation and WRED); the chain runners are fully deterministic.
 		ban(in(n.Kind, KindFCT, KindPermutation, KindAllToAll, KindMixed), n.Seed != 0, "seed"),
 		ban(in(n.Kind, KindFCT, KindMixed), n.Load != 0, "load"),
-		ban(n.Kind == KindHop, n.Hop != "", "hop"),
-		ban(in(n.Kind, KindMicro, KindHop, KindFairness), n.Topo.Senders != 0, "topo.senders"),
+		ban(in(n.Kind, KindHop, KindNotify), n.Hop != "", "hop"),
+		ban(in(n.Kind, KindMicro, KindHop, KindNotify, KindFairness), n.Topo.Senders != 0, "topo.senders"),
 		ban(fatTreeKinds[n.Kind], n.Topo.K != 0, "topo.k"),
 		ban(chainKinds[n.Kind], n.Topo.Switches != 0, "topo.switches"),
 		ban(fatTreeKinds[n.Kind], n.Topo.Oversub != 0, "topo.oversub"),
@@ -551,7 +562,7 @@ func (n Spec) validateKnobUse() error {
 	if chainKinds[n.Kind] && n.Topo.Switches != 3 {
 		return fmt.Errorf("scenario: the chain runners fix topo.switches at 3, got %d", n.Topo.Switches)
 	}
-	if n.Kind == KindHop && n.Topo.Senders != 2 {
+	if in(n.Kind, KindHop, KindNotify) && n.Topo.Senders != 2 {
 		return fmt.Errorf("scenario: the hop runner fixes topo.senders at 2, got %d", n.Topo.Senders)
 	}
 	if !in(n.Kind, KindPermutation, KindAllToAll, KindMixed) && n.Topo.DelayNs != 1500 {

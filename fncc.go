@@ -82,15 +82,17 @@ type (
 // steady state: events recycle through an engine-owned slot pool and frames
 // through a per-network packet pool. These counters quantify both, and
 // every experiment result and sweep row carries them (engine_events,
-// pool_hit_rate, mallocs_per_run...), so perf regressions show up in the
-// same tables as the modelled metrics.
+// event_reuse_rate, pool_hit_rate), so perf regressions show up in the
+// same tables as the modelled metrics. They are deterministic for a spec;
+// host cost (wall time, CPU, allocations) is not a result and is reported
+// only through the sweep harness's obs registry and spans.
 type (
 	// EngineStats is the event scheduler's throughput/pool telemetry.
 	EngineStats = sim.EngineStats
 	// PacketPoolStats is the packet pool's hit-rate telemetry.
 	PacketPoolStats = packet.PoolStats
-	// PerfStats is one run's combined simulator-performance record,
-	// attached to every experiment result.
+	// PerfStats is one run's engine and pool counters, attached to every
+	// experiment result.
 	PerfStats = exp.PerfStats
 )
 

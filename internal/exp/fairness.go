@@ -67,7 +67,6 @@ func RunFairness(cfg FairnessConfig) (*FairnessResult, error) {
 	if cfg.Senders < 2 {
 		return nil, fmt.Errorf("exp: fairness needs >= 2 senders")
 	}
-	probe := BeginPerf()
 	scheme, err := buildScheme(cfg.Scheme, cfg.MakeScheme)
 	if err != nil {
 		return nil, err
@@ -135,7 +134,7 @@ func RunFairness(cfg FairnessConfig) (*FairnessResult, error) {
 	if jainN > 0 {
 		res.JainAllActive = jainSum / float64(jainN)
 	}
-	res.Perf = probe.End(c.Net)
+	res.Perf = PerfOf(c.Net)
 	return res, nil
 }
 

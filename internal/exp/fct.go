@@ -118,7 +118,6 @@ type FCTResult struct {
 
 // RunFCT executes one (scheme, seed) large-scale run.
 func RunFCT(cfg FCTConfig) (*FCTResult, error) {
-	probe := BeginPerf()
 	scheme, err := buildScheme(cfg.Scheme, cfg.MakeScheme)
 	if err != nil {
 		return nil, err
@@ -176,7 +175,7 @@ func RunFCT(cfg FCTConfig) (*FCTResult, error) {
 		tp.Stop()
 		res.Telemetry = tp.Output()
 	}
-	res.Perf = probe.End(ft.Net)
+	res.Perf = PerfOf(ft.Net)
 	return res, nil
 }
 

@@ -80,7 +80,6 @@ type HopResult struct {
 
 // RunHop executes one hop-location experiment.
 func RunHop(cfg HopConfig) (*HopResult, error) {
-	probe := BeginPerf()
 	scheme, err := buildScheme(cfg.Scheme, cfg.MakeScheme)
 	if err != nil {
 		return nil, err
@@ -142,7 +141,7 @@ func RunHop(cfg HopConfig) (*HopResult, error) {
 	if lh, ok := lhcsTriggersOf(f0); ok {
 		res.LHCSTriggers = lh
 	}
-	res.Perf = probe.End(c.Net)
+	res.Perf = PerfOf(c.Net)
 	return res, nil
 }
 

@@ -71,7 +71,6 @@ func RunIncast(cfg IncastConfig) (*IncastResult, error) {
 	if cfg.Fanout < 2 {
 		return nil, fmt.Errorf("exp: incast needs fanout >= 2")
 	}
-	probe := BeginPerf()
 	scheme, err := buildScheme(cfg.Scheme, cfg.MakeScheme)
 	if err != nil {
 		return nil, err
@@ -135,6 +134,6 @@ func RunIncast(cfg IncastConfig) (*IncastResult, error) {
 			res.LHCSTriggers += lh
 		}
 	}
-	res.Perf = probe.End(c.Net)
+	res.Perf = PerfOf(c.Net)
 	return res, nil
 }

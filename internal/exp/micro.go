@@ -104,7 +104,6 @@ func RunMicro(cfg MicroConfig) (*MicroResult, error) {
 	if cfg.Senders < 2 {
 		return nil, fmt.Errorf("exp: micro needs >= 2 senders")
 	}
-	probe := BeginPerf()
 	scheme, err := buildScheme(cfg.Scheme, cfg.MakeScheme)
 	if err != nil {
 		return nil, err
@@ -168,6 +167,6 @@ func RunMicro(cfg MicroConfig) (*MicroResult, error) {
 	res.Drops = c.Net.Drops.N
 	res.QueuePeak = res.Queue.Max()
 	res.MeanUtil = res.Util.MeanIn(cfg.Flow1Start, cfg.Duration)
-	res.Perf = probe.End(c.Net)
+	res.Perf = PerfOf(c.Net)
 	return res, nil
 }

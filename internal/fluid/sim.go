@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"time"
 
 	"repro/internal/metrics"
 	"repro/internal/sim"
@@ -86,8 +85,6 @@ type Stats struct {
 	// HeapInvalidations totals finish-heap key updates forced by target
 	// changes (each one re-arms a lazy lower bound for later refinement).
 	HeapInvalidations int64
-	// WallSeconds is the host wall-clock time of Run.
-	WallSeconds float64
 }
 
 // Result is one completed fluid run.
@@ -256,7 +253,6 @@ func (s *Sim) prepare() {
 // FCTs are the fluid transfer duration plus the per-path latency offset, so
 // an uncontended flow completes in exactly its ideal FCT.
 func (s *Sim) Run(deadline sim.Time) *Result {
-	wall := time.Now()
 	s.prepare()
 	res := &Result{FCT: metrics.NewFCTCollector(), Generated: len(s.flows)}
 	s.st = &res.Stats
@@ -314,7 +310,6 @@ func (s *Sim) Run(deadline sim.Time) *Result {
 			res.Stats.MaxActive = len(s.active)
 		}
 	}
-	res.Stats.WallSeconds = time.Since(wall).Seconds()
 	return res
 }
 

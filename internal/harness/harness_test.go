@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -196,6 +197,47 @@ func TestCacheCorruptionIsAMiss(t *testing.T) {
 	}
 }
 
+// TestCacheStaleVocabularyIsAMiss: an entry written by an older tree that
+// cached host-dependent figures under the same spec hash must re-simulate,
+// not replay them, and the fresh entry replaces it.
+func TestCacheStaleVocabularyIsAMiss(t *testing.T) {
+	dir := t.TempDir()
+	sp := scenario.Spec{Kind: scenario.KindMicro, Scheme: "FNCC", DurationUs: 50}
+	if _, err := (&Runner{CacheDir: dir}).Run(sp); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, sp.Hash()+".json")
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var old scenario.Result
+	if err := json.Unmarshal(data, &old); err != nil {
+		t.Fatal(err)
+	}
+	old.Metrics["engine_events_per_sec"] = 1.5e7
+	if data, err = json.Marshal(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := &Runner{CacheDir: dir}
+	res, err := r.Run(sp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := r.Stats(); res.Cached || hits != 0 || misses != 1 {
+		t.Errorf("stale entry: cached=%v hits=%d misses=%d, want a re-simulated miss", res.Cached, hits, misses)
+	}
+	if _, ok := res.Metrics["engine_events_per_sec"]; ok {
+		t.Error("stale host metric replayed into the result")
+	}
+	if res, err = r.Run(sp); err != nil || !res.Cached {
+		t.Errorf("rewritten entry not served as a hit: cached=%v err=%v", res != nil && res.Cached, err)
+	}
+}
+
 // TestExport: rows, seed aggregation, CSV and JSON shapes.
 func TestExport(t *testing.T) {
 	dir := t.TempDir()
@@ -257,8 +299,7 @@ func TestExport(t *testing.T) {
 		t.Errorf("CSV header lost the execution metrics: %q", lines[0])
 	}
 	micro := []Row{{Name: "micro", Kind: scenario.KindMicro, Scheme: "FNCC", Metrics: map[string]float64{
-		"alloc_bytes_per_run": 1, "drops": 0, "engine_events": 1, "engine_events_per_sec": 1,
-		"event_reuse_rate": 1, "first_slowdown_us": 309, "mean_util": 0.9, "pause_frames": 0,
+		"drops": 0, "engine_events": 1, "event_reuse_rate": 1, "first_slowdown_us": 309, "mean_util": 0.9, "pause_frames": 0,
 		"pool_hit_rate": 1, "queue_peak_bytes": 103224, "resume_frames": 0,
 	}}}
 	header := strings.Fields(strings.SplitN(FormatTable(micro), "\n", 2)[0])

@@ -57,7 +57,8 @@ const (
 // resolved once so the per-run cost is a handful of atomic adds. It feeds
 // the engine-level stats each run already computes — sim.EngineStats and
 // packet.PoolStats via exp.PerfStats's metric columns, fluid.Stats's
-// full-vs-incremental pass split — into process-lifetime totals.
+// full-vs-incremental pass split — and the run's host cost (obs.Usage)
+// into process-lifetime totals.
 type obsSink struct {
 	events, mallocs, allocBytes  *obs.Counter
 	fluidFull, fluidIncr         *obs.Counter
@@ -84,13 +85,17 @@ func newObsSink(reg *obs.Registry) *obsSink {
 }
 
 // ObserveRun implements scenario.Sink: fold one simulated run's engine
-// stats into the registry. The metric map is the pre-Collect superset, so
-// the perf columns are always present (fluid_* only on the fluid backend).
-func (s *obsSink) ObserveRun(_ scenario.Spec, _ string, m map[string]float64) {
+// stats and host cost into the registry. The metric map is the pre-Collect
+// superset, so the perf columns are always present (fluid_* only on the
+// fluid backend). Throughput divides by the whole run's wall time, model
+// build included.
+func (s *obsSink) ObserveRun(_ scenario.Spec, _ string, m map[string]float64, host obs.Usage) {
 	s.events.Add(int64(m["engine_events"]))
-	s.mallocs.Add(int64(m["mallocs_per_run"]))
-	s.allocBytes.Add(int64(m["alloc_bytes_per_run"]))
-	s.epsLast.Set(m["engine_events_per_sec"])
+	s.mallocs.Add(int64(host.Mallocs))
+	s.allocBytes.Add(int64(host.AllocBytes))
+	if wall := host.Wall.Seconds(); wall > 0 {
+		s.epsLast.Set(m["engine_events"] / wall)
+	}
 	if v, ok := m["pool_hit_rate"]; ok {
 		s.poolHit.Set(v)
 	}
@@ -108,7 +113,7 @@ func (s *obsSink) ObserveRun(_ scenario.Spec, _ string, m map[string]float64) {
 		s.traceEvents.Add(int64(m["trace_events"]))
 	}
 	s.jobEvents.Observe(m["engine_events"])
-	s.jobMallocs.Observe(m["mallocs_per_run"])
+	s.jobMallocs.Observe(float64(host.Mallocs))
 }
 
 // sink returns the scenario.Sink feeding r.Obs, nil when obs is off. The

@@ -187,6 +187,69 @@ func TestRunnerObsIntegration(t *testing.T) {
 	t.Error("no job span marked cached after the re-run")
 }
 
+// TestObsHostMetrics pins the host-cost registry entries: a simulated job
+// feeds them from the sink's obs.Usage, and a fully cached re-run, which
+// simulates nothing, leaves them untouched.
+func TestObsHostMetrics(t *testing.T) {
+	reg := obs.NewRegistry()
+	dir := t.TempDir()
+	if _, err := (&Runner{CacheDir: dir, Obs: reg}).Run(microSpec("FNCC")); err != nil {
+		t.Fatal(err)
+	}
+	s := reg.Snapshot()
+	mallocs, bytes := s.Counters[MetricEngineMallocs], s.Counters[MetricEngineAllocBytes]
+	eps := s.Gauges[MetricEventsPerSecLast]
+	if mallocs <= 0 || bytes <= 0 || eps <= 0 {
+		t.Fatalf("after one simulated job: mallocs=%d alloc_bytes=%d events_per_sec=%g, want all > 0",
+			mallocs, bytes, eps)
+	}
+	r := &Runner{CacheDir: dir, Obs: reg}
+	if _, err := r.Run(microSpec("FNCC")); err != nil {
+		t.Fatal(err)
+	}
+	if hits, _ := r.Stats(); hits != 1 {
+		t.Fatalf("re-run hits = %d, want 1", hits)
+	}
+	s = reg.Snapshot()
+	if s.Counters[MetricEngineMallocs] != mallocs || s.Counters[MetricEngineAllocBytes] != bytes ||
+		s.Gauges[MetricEventsPerSecLast] != eps {
+		t.Errorf("cached re-run moved host metrics: mallocs %d→%d alloc_bytes %d→%d events_per_sec %g→%g",
+			mallocs, s.Counters[MetricEngineMallocs], bytes, s.Counters[MetricEngineAllocBytes],
+			eps, s.Gauges[MetricEventsPerSecLast])
+	}
+}
+
+// TestCachedMetricsBitIdentical: a cached result holds only what the spec
+// determines, so it equals the fresh run bit for bit on every key, on both
+// backends.
+func TestCachedMetricsBitIdentical(t *testing.T) {
+	fluid := scenario.Spec{Kind: scenario.KindFCT, Scheme: "FNCC", Backend: scenario.BackendFluid,
+		Topo: scenario.TopoSpec{K: 4}, Workload: scenario.WorkloadSpec{CDF: "websearch"},
+		Load: 0.3, DurationUs: 200}
+	for _, sp := range []scenario.Spec{microSpec("FNCC"), fluid} {
+		dir := t.TempDir()
+		fresh, err := (&Runner{CacheDir: dir, Obs: obs.NewRegistry()}).Run(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cached, err := (&Runner{CacheDir: dir}).Run(sp)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fresh.Cached || !cached.Cached {
+			t.Fatalf("%s: cached flags fresh=%v cached=%v", sp.BackendName(), fresh.Cached, cached.Cached)
+		}
+		if len(fresh.Metrics) != len(cached.Metrics) {
+			t.Errorf("%s: %d fresh keys, %d cached", sp.BackendName(), len(fresh.Metrics), len(cached.Metrics))
+		}
+		for k, v := range fresh.Metrics {
+			if c, ok := cached.Metrics[k]; !ok || math.Float64bits(c) != math.Float64bits(v) {
+				t.Errorf("%s: %s fresh %v, cached %v (present %v)", sp.BackendName(), k, v, c, ok)
+			}
+		}
+	}
+}
+
 // TestRunnerObsOffIsInert pins the other side of the contract: a Runner
 // with no Obs/Tracer behaves exactly as before the layer existed — no
 // spans, results identical to an instrumented run.

@@ -560,7 +560,9 @@ func (r *Runner) refreshMarker(hash string) func() {
 }
 
 // load reads a cached result; any unreadable or mismatched file is treated
-// as a miss (and re-simulated), never an error.
+// as a miss (and re-simulated), never an error. So is an entry with a
+// metric the current vocabulary lacks: an older tree cached host-dependent
+// figures under the same spec hash, and a hit must not replay them.
 func (r *Runner) load(hash string) (*scenario.Result, bool) {
 	if r.CacheDir == "" {
 		return nil, false
@@ -572,6 +574,11 @@ func (r *Runner) load(hash string) (*scenario.Result, bool) {
 	var res scenario.Result
 	if json.Unmarshal(data, &res) != nil || res.Hash != hash || res.Metrics == nil {
 		return nil, false
+	}
+	for k := range res.Metrics {
+		if !scenario.IsKnownMetric(k) {
+			return nil, false
+		}
 	}
 	res.Cached = true
 	return &res, true

@@ -10,13 +10,62 @@ import (
 	"time"
 )
 
+// Usage is the host cost of a stretch of execution: wall time, process
+// CPU, and heap allocations. Every figure is a process-wide delta — under
+// a parallel sweep concurrent jobs inflate each other's numbers, so they
+// are attribution hints, not exact costs. Usage is never part of a
+// result: it depends on the machine and its load, not on the spec.
+type Usage struct {
+	Wall time.Duration
+	// CPU is user+system process CPU (0 where the platform has no rusage).
+	CPU        time.Duration
+	Mallocs    uint64
+	AllocBytes uint64
+}
+
+// Meter is an open host-cost measurement; Stop closes it. This is the one
+// place the program reads the host clock, rusage and allocator for cost.
+type Meter struct {
+	start            time.Time
+	cpu0             int64
+	mallocs0, bytes0 uint64
+}
+
+// heapAllocs reads the cumulative heap-allocation counters through
+// runtime/metrics, which unlike runtime.ReadMemStats does not stop the
+// world — metering must not serialize the workers it measures.
+func heapAllocs() (objects, bytes uint64) {
+	s := [2]metrics.Sample{
+		{Name: "/gc/heap/allocs:objects"},
+		{Name: "/gc/heap/allocs:bytes"},
+	}
+	metrics.Read(s[:])
+	return s[0].Value.Uint64(), s[1].Value.Uint64()
+}
+
+// StartMeter opens a measurement.
+func StartMeter() Meter {
+	m := Meter{start: time.Now(), cpu0: processCPUNs()}
+	m.mallocs0, m.bytes0 = heapAllocs()
+	return m
+}
+
+// Stop returns the usage since StartMeter.
+func (m Meter) Stop() Usage {
+	u := Usage{Wall: time.Since(m.start)}
+	if cpu := processCPUNs(); cpu > 0 && m.cpu0 > 0 {
+		u.CPU = time.Duration(cpu - m.cpu0)
+	}
+	objects, bytes := heapAllocs()
+	u.Mallocs, u.AllocBytes = objects-m.mallocs0, bytes-m.bytes0
+	return u
+}
+
 // Span is one timed region of sweep execution. A sweep is a root span;
 // each job is a child carrying its spec hash/backend/seed; phases
-// (cache-lookup, simulate, cache-store, export) are grandchildren. CPUNs
-// and AllocBytes are process-wide deltas across the span — under a
-// parallel sweep concurrent jobs inflate each other's numbers, so they
-// are attribution hints, not exact costs (the same caveat exp.PerfStats
-// documents for its wall/alloc counters).
+// (cache-lookup, simulate, cache-store, export) are grandchildren. DurNs,
+// CPUNs and AllocBytes come from the span's Meter and share Usage's
+// process-wide caveat.
 type Span struct {
 	ID     uint64 `json:"id"`
 	Parent uint64 `json:"parent,omitempty"`
@@ -33,9 +82,7 @@ type Span struct {
 	Attrs map[string]string `json:"attrs,omitempty"`
 
 	tracer *Tracer
-	start  time.Time
-	cpu0   int64
-	alloc0 uint64
+	meter  Meter
 }
 
 // Tracer collects finished spans and tracks open ones. All methods are
@@ -54,28 +101,14 @@ func NewTracer() *Tracer {
 	return &Tracer{open: map[uint64]*Span{}}
 }
 
-// allocBytesNow reads the cumulative process heap-allocation bytes without
-// stopping the world (same runtime/metrics channel exp.PerfStats uses).
-func allocBytesNow() uint64 {
-	s := [1]metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
-	metrics.Read(s[:])
-	return s[0].Value.Uint64()
-}
-
 // Start opens a span under parent (nil parent = root). Returns nil on a
 // nil tracer.
 func (t *Tracer) Start(name string, parent *Span) *Span {
 	if t == nil {
 		return nil
 	}
-	s := &Span{
-		Name:        name,
-		StartUnixNs: time.Now().UnixNano(),
-		tracer:      t,
-		start:       time.Now(),
-		cpu0:        processCPUNs(),
-		alloc0:      allocBytesNow(),
-	}
+	s := &Span{Name: name, tracer: t, meter: StartMeter()}
+	s.StartUnixNs = s.meter.start.UnixNano()
 	if parent != nil {
 		s.Parent = parent.ID
 	}
@@ -113,11 +146,8 @@ func (s *Span) End() {
 		return
 	}
 	delete(t.open, s.ID)
-	s.DurNs = time.Since(s.start).Nanoseconds()
-	if cpu := processCPUNs(); cpu > 0 && s.cpu0 > 0 {
-		s.CPUNs = cpu - s.cpu0
-	}
-	s.AllocBytes = int64(allocBytesNow() - s.alloc0)
+	u := s.meter.Stop()
+	s.DurNs, s.CPUNs, s.AllocBytes = u.Wall.Nanoseconds(), u.CPU.Nanoseconds(), int64(u.AllocBytes)
 	t.done = append(t.done, *s)
 }
 
@@ -153,7 +183,7 @@ func (t *Tracer) Active() []ActiveSpan {
 	out := make([]ActiveSpan, 0, len(t.open))
 	for _, s := range t.open {
 		a := ActiveSpan{ID: s.ID, Parent: s.Parent, Name: s.Name,
-			ElapsedNs: time.Since(s.start).Nanoseconds()}
+			ElapsedNs: time.Since(s.meter.start).Nanoseconds()}
 		if len(s.Attrs) > 0 {
 			a.Attrs = make(map[string]string, len(s.Attrs))
 			for k, v := range s.Attrs {

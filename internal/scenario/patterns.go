@@ -81,7 +81,6 @@ func fabricMetrics(ft *topo.FatTree, generated int, done bool) map[string]float6
 // pattern — every host sends and receives exactly once — that exercises
 // every tier of the fabric simultaneously.
 func runPermutation(sp Spec) (map[string]float64, *telemetry.Output, error) {
-	probe := exp.BeginPerf()
 	ft, err := buildFatTree(sp)
 	if err != nil {
 		return nil, nil, err
@@ -101,7 +100,7 @@ func runPermutation(sp Spec) (map[string]float64, *telemetry.Output, error) {
 	done := ft.Net.RunToCompletion(sp.Duration())
 	tel := probeOutput(tp)
 	m := fabricMetrics(ft, hosts, done)
-	perfMetrics(m, probe.End(ft.Net))
+	perfMetrics(m, exp.PerfOf(ft.Net))
 	return m, tel, nil
 }
 
@@ -110,7 +109,6 @@ func runPermutation(sp Spec) (map[string]float64, *telemetry.Output, error) {
 // receives from hosts-1 peers, the worst admissible stress the fabric
 // supports.
 func runAllToAll(sp Spec) (map[string]float64, *telemetry.Output, error) {
-	probe := exp.BeginPerf()
 	ft, err := buildFatTree(sp)
 	if err != nil {
 		return nil, nil, err
@@ -130,7 +128,7 @@ func runAllToAll(sp Spec) (map[string]float64, *telemetry.Output, error) {
 	done := ft.Net.RunToCompletion(sp.Duration())
 	tel := probeOutput(tp)
 	m := fabricMetrics(ft, hosts*(hosts-1), done)
-	perfMetrics(m, probe.End(ft.Net))
+	perfMetrics(m, exp.PerfOf(ft.Net))
 	return m, tel, nil
 }
 
@@ -139,7 +137,6 @@ func runAllToAll(sp Spec) (map[string]float64, *telemetry.Output, error) {
 // composite pattern production fabrics actually see. The run drains after
 // the arrival horizon like the FCT experiment.
 func runMixed(sp Spec) (map[string]float64, *telemetry.Output, error) {
-	probe := exp.BeginPerf()
 	ft, err := buildFatTree(sp)
 	if err != nil {
 		return nil, nil, err
@@ -185,6 +182,6 @@ func runMixed(sp Spec) (map[string]float64, *telemetry.Output, error) {
 	m := fabricMetrics(ft, len(flows)+burstFlows, done)
 	m["burst_flows"] = float64(burstFlows)
 	m["offered_load"] = workload.OfferedLoad(flows, hosts, sp.Topo.RateBps(), horizon)
-	perfMetrics(m, probe.End(ft.Net))
+	perfMetrics(m, exp.PerfOf(ft.Net))
 	return m, tel, nil
 }

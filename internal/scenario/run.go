@@ -10,6 +10,7 @@ import (
 	"repro/internal/exp"
 	"repro/internal/metrics"
 	"repro/internal/netsim"
+	"repro/internal/obs"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
 )
@@ -54,11 +55,9 @@ var modelKeys = []string{
 // simulated.
 var execKeys = []string{
 	// Simulator-performance telemetry (exp.PerfStats), attached to every
-	// run so sweeps regression-track engine throughput and pool efficiency.
-	// The engine/pool rates are deterministic; the wall-clock and
-	// allocation counters are host-dependent trend indicators.
-	"engine_events", "engine_events_per_sec", "event_reuse_rate",
-	"pool_hit_rate", "mallocs_per_run", "alloc_bytes_per_run",
+	// run so sweeps regression-track engine work and pool efficiency. All
+	// deterministic for a given spec; host cost goes to Sink instead.
+	"engine_events", "event_reuse_rate", "pool_hit_rate",
 	// Fluid-backend incremental-engine telemetry: full vs worklist passes
 	// and the affected fraction (links/flows/heap keys touched per event).
 	// Deterministic for a given spec, like engine_events.
@@ -94,14 +93,15 @@ func setOf(keys ...string) map[string]bool {
 // execution metric; table formatters show only these.
 func IsModelMetric(name string) bool { return modelMetrics[name] }
 
+// IsKnownMetric reports whether some kind emits name. A cached result
+// holding any other key was written by an older vocabulary.
+func IsKnownMetric(name string) bool { return knownMetrics[name] }
+
 // perfMetrics folds a runner's PerfStats into the flat metric map.
 func perfMetrics(m map[string]float64, p exp.PerfStats) {
 	m["engine_events"] = float64(p.Events)
-	m["engine_events_per_sec"] = p.EventsPerSec
 	m["event_reuse_rate"] = p.EventReuseRate
 	m["pool_hit_rate"] = p.PoolHitRate
-	m["mallocs_per_run"] = float64(p.Mallocs)
-	m["alloc_bytes_per_run"] = float64(p.AllocBytes)
 	if p.Shard.Shards > 0 {
 		m["parallel_workers"] = float64(p.Shard.Workers)
 		m["parallel_shards"] = float64(p.Shard.Shards)
@@ -186,16 +186,38 @@ func schemeBuilder(sp Spec) exp.SchemeBuilder {
 
 // Sink observes every executed run. ObserveRun fires once per successful
 // simulation — never for cache hits, which don't simulate — with the
-// normalized spec, its content hash, and the full metric map *before* any
+// normalized spec, its content hash, the full metric map *before* any
 // Collect filtering, so engine-level stats (engine_events, pool_hit_rate,
 // fluid_full_passes, ...) reach the sink even when the spec's Collect list
-// strips them from the result. The callback runs synchronously on the
-// run's goroutine and must not retain or mutate the map.
+// strips them from the result, and the run's host cost. The host cost is
+// measured only when a sink is attached and never enters the result. The
+// callback runs synchronously on the run's goroutine and must not retain
+// or mutate the map.
 //
 // This is the hook the harness uses to feed the operational-metrics
 // registry (internal/obs); a nil Sink costs one pointer test per run.
 type Sink interface {
-	ObserveRun(sp Spec, hash string, metrics map[string]float64)
+	ObserveRun(sp Spec, hash string, metrics map[string]float64, host obs.Usage)
+}
+
+// runner executes one normalized spec of a given backend and kind.
+type runner func(Spec) (map[string]float64, *telemetry.Output, error)
+
+// runners is the dispatch table, runners[backend][kind]. The packet row
+// covers every kind; the fluid row is the kinds whose outputs are flow-
+// completion statistics, which the fluid model approximates. The others
+// measure queue dynamics, PFC or sub-RTT rate timelines that only the
+// packet engine produces, and Validate rejects them under fluid.
+var runners = map[string]map[string]runner{
+	BackendPacket: {
+		KindMicro: runMicro, KindHop: runHop, KindNotify: runNotify,
+		KindFairness: runFairness, KindFCT: runFCT, KindIncast: runIncast,
+		KindPermutation: runPermutation, KindAllToAll: runAllToAll, KindMixed: runMixed,
+	},
+	BackendFluid: {
+		KindFCT: runFCTFluid, KindIncast: runIncastFluid,
+		KindPermutation: runPermutationFluid, KindAllToAll: runAllToAllFluid,
+	},
 }
 
 // Run validates, normalizes and executes one scenario.
@@ -207,56 +229,11 @@ func RunWithSink(sp Spec, sink Sink) (*Result, error) {
 		return nil, err
 	}
 	n := sp.Normalized()
-	var (
-		m   map[string]float64
-		tel *telemetry.Output
-		err error
-	)
-	if n.BackendName() == BackendFluid {
-		switch n.Kind {
-		case KindFCT:
-			m, tel, err = runFCTFluid(n)
-		case KindIncast:
-			m, tel, err = runIncastFluid(n)
-		case KindPermutation:
-			m, tel, err = runPermutationFluid(n)
-		case KindAllToAll:
-			m, tel, err = runAllToAllFluid(n)
-		default:
-			// Unreachable: Validate rejects fluid for other kinds.
-			err = fmt.Errorf("scenario: kind %q has no fluid runner", n.Kind)
-		}
-		return finishRun(n, m, tel, err, sink)
+	var meter obs.Meter
+	if sink != nil {
+		meter = obs.StartMeter()
 	}
-	switch n.Kind {
-	case KindMicro:
-		m, tel, err = runMicro(n)
-	case KindHop:
-		m, tel, err = runHop(n)
-	case KindNotify:
-		m, tel, err = runNotify(n)
-	case KindFairness:
-		m, tel, err = runFairness(n)
-	case KindFCT:
-		m, tel, err = runFCT(n)
-	case KindIncast:
-		m, tel, err = runIncast(n)
-	case KindPermutation:
-		m, tel, err = runPermutation(n)
-	case KindAllToAll:
-		m, tel, err = runAllToAll(n)
-	case KindMixed:
-		m, tel, err = runMixed(n)
-	default:
-		err = fmt.Errorf("scenario: unknown kind %q", n.Kind)
-	}
-	return finishRun(n, m, tel, err, sink)
-}
-
-// finishRun wraps errors with the run identity, folds telemetry bookkeeping
-// into the metric map, notifies the sink, and applies the Collect filter,
-// shared by the packet and fluid dispatch paths.
-func finishRun(n Spec, m map[string]float64, tel *telemetry.Output, err error, sink Sink) (*Result, error) {
+	m, tel, err := runners[n.BackendName()][n.Kind](n)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s/%s/%s: %w", n.Kind, n.BackendName(), n.Scheme, err)
 	}
@@ -266,7 +243,7 @@ func finishRun(n Spec, m map[string]float64, tel *telemetry.Output, err error, s
 	}
 	hash := n.Hash()
 	if sink != nil {
-		sink.ObserveRun(n, hash, m)
+		sink.ObserveRun(n, hash, m, meter.Stop())
 	}
 	if len(n.Collect) > 0 {
 		keep := make(map[string]float64, len(n.Collect))

@@ -298,3 +298,25 @@ func TestPermutationCompletes(t *testing.T) {
 		t.Errorf("completed %v flows, want 16", res.Metrics["completed"])
 	}
 }
+
+// TestRunnersCoverKinds: RunWithSink indexes runners without a fallback,
+// so the table must have a row per backend, a packet runner for every kind
+// Validate accepts, and fluid runners only for real kinds.
+func TestRunnersCoverKinds(t *testing.T) {
+	if len(runners) != len(Backends()) {
+		t.Errorf("runners has %d backends, want %v", len(runners), Backends())
+	}
+	for _, k := range Kinds() {
+		if runners[BackendPacket][k] == nil {
+			t.Errorf("kind %q has no packet runner", k)
+		}
+	}
+	if len(runners[BackendPacket]) != len(Kinds()) {
+		t.Errorf("packet row has %d runners for %d kinds", len(runners[BackendPacket]), len(Kinds()))
+	}
+	for k := range runners[BackendFluid] {
+		if runners[BackendPacket][k] == nil {
+			t.Errorf("fluid runner for unknown kind %q", k)
+		}
+	}
+}

@@ -3,6 +3,8 @@ package scenario
 import (
 	"math"
 	"testing"
+
+	"repro/internal/obs"
 )
 
 type recordingSink struct {
@@ -11,10 +13,12 @@ type recordingSink struct {
 	hash   string
 	events float64
 	keys   map[string]bool
+	host   obs.Usage
 }
 
-func (s *recordingSink) ObserveRun(sp Spec, hash string, m map[string]float64) {
+func (s *recordingSink) ObserveRun(sp Spec, hash string, m map[string]float64, host obs.Usage) {
 	s.calls++
+	s.host = host
 	s.spec = sp
 	s.hash = hash
 	s.events = m["engine_events"]
@@ -48,6 +52,9 @@ func TestRunWithSink(t *testing.T) {
 	}
 	if sink.events <= 0 {
 		t.Errorf("sink engine_events = %g, want > 0", sink.events)
+	}
+	if sink.host.Wall <= 0 || sink.host.Mallocs == 0 {
+		t.Errorf("sink host usage not metered: %+v", sink.host)
 	}
 	if !sink.keys["engine_events"] || !sink.keys["mean_util"] {
 		t.Errorf("sink metric map missing pre-Collect keys: %v", sink.keys)
@@ -93,15 +100,7 @@ func TestRunNilSinkIdentical(t *testing.T) {
 	if a.Hash != b.Hash || len(a.Metrics) != len(b.Metrics) {
 		t.Fatalf("result identity differs: %s/%d vs %s/%d", a.Hash, len(a.Metrics), b.Hash, len(b.Metrics))
 	}
-	// Wall-clock and allocation columns vary run to run on any host
-	// (exp.PerfStats documents them as trend indicators); the modelled
-	// and engine-count metrics must match exactly.
-	hostDependent := map[string]bool{"engine_events_per_sec": true,
-		"mallocs_per_run": true, "alloc_bytes_per_run": true}
 	for k, v := range a.Metrics {
-		if hostDependent[k] {
-			continue
-		}
 		if math.Float64bits(v) != math.Float64bits(b.Metrics[k]) {
 			t.Errorf("metric %s differs: %g vs %g", k, v, b.Metrics[k])
 		}

@@ -79,19 +79,11 @@ const (
 // Backends lists the simulation backends in canonical order.
 func Backends() []string { return []string{BackendPacket, BackendFluid} }
 
-// fluidKinds are the kinds the fluid backend can execute: their outputs are
-// flow-completion statistics, which the fluid model approximates. The
-// others measure queue dynamics, PFC or sub-RTT rate timelines that only
-// the packet engine produces.
-var fluidKinds = map[string]bool{
-	KindFCT: true, KindIncast: true, KindPermutation: true, KindAllToAll: true,
-}
-
 // fluidKindNames lists the fluid-capable kinds in canonical kind order.
 func fluidKindNames() []string {
 	var out []string
 	for _, k := range Kinds() {
-		if fluidKinds[k] {
+		if runners[BackendFluid][k] != nil {
 			out = append(out, k)
 		}
 	}
@@ -401,7 +393,7 @@ func (s Spec) Validate() error {
 			return err
 		}
 	case BackendFluid:
-		if !fluidKinds[n.Kind] {
+		if runners[BackendFluid][n.Kind] == nil {
 			return fmt.Errorf("scenario: kind %q is inherently packet-level; backend %q supports %v",
 				n.Kind, BackendFluid, fluidKindNames())
 		}

@@ -231,3 +231,112 @@ func TestNotifyKindOrdering(t *testing.T) {
 		}
 	}
 }
+
+// goldenHop pins the Fig 13a-c hop-location matrix at the registry's hop
+// defaults (800 µs, flow 1 joins at 300 µs and drains), keyed by scheme
+// and congested hop.
+var goldenHop = map[string]map[string]map[string]float64{
+	"HPCC": {
+		"first": {
+			"queue_peak_bytes": 0x1.374fp+17, // 159390
+			"mean_util":        0x1.bf3a0ec7a9fbep-01,
+			"lhcs_triggers":    0x0p+00,
+		},
+		"middle": {
+			"queue_peak_bytes": 0x1.4fc3p+17, // 171910
+			"mean_util":        0x1.bfa1be4725e98p-01,
+			"lhcs_triggers":    0x0p+00,
+		},
+		"last": {
+			"queue_peak_bytes": 0x1.593cp+17, // 176760
+			"mean_util":        0x1.ba39d50e51a7ap-01,
+			"lhcs_triggers":    0x0p+00,
+		},
+	},
+	"FNCC": {
+		"first": {
+			"queue_peak_bytes": 0x1.9338p+16, // 103224
+			"mean_util":        0x1.b889cd5c9636bp-01,
+			"lhcs_triggers":    0x1.4p+04, // 20
+		},
+		"middle": {
+			"queue_peak_bytes": 0x1.f806p+16, // 129030
+			"mean_util":        0x1.a7499a182ebccp-01,
+			"lhcs_triggers":    0x1.dp+04, // 29
+		},
+		"last": {
+			"queue_peak_bytes": 0x1.4c1p+16, // 85008
+			"mean_util":        0x1.ccc48308e3573p-01,
+			"lhcs_triggers":    0x1.ecp+06, // 123
+		},
+	},
+	"FNCC-noLHCS": {
+		"last": {
+			"queue_peak_bytes": 0x1.3d3dp+17, // 162426
+			"mean_util":        0x1.93ed4a74d9ec1p-01,
+			"lhcs_triggers":    0x0p+00,
+		},
+	},
+}
+
+// TestGoldenHopDeterminism pins the hop kind bit-exactly per scheme and
+// congested hop.
+func TestGoldenHopDeterminism(t *testing.T) {
+	for scheme, hops := range goldenHop {
+		for hop, want := range hops {
+			res, err := Run(Spec{Kind: KindHop, Scheme: scheme, Hop: hop})
+			if err != nil {
+				t.Fatalf("%s@%s: %v", scheme, hop, err)
+			}
+			checkGolden(t, "hop/"+scheme+"@"+hop, res.Metrics, want)
+		}
+	}
+}
+
+// goldenFairness pins the Fig 13e staggered join/leave run at a 300 µs
+// stagger.
+var goldenFairness = map[string]map[string]float64{
+	"FNCC": {
+		"jain_all_active": 0x1.cdea1a0b38849p-01,
+		"duration_us":     0x1.2cp+11, // 2400
+	},
+	"HPCC": {
+		"jain_all_active": 0x1.85f668ab32f8bp-01,
+		"duration_us":     0x1.2cp+11,
+	},
+}
+
+// TestGoldenFairnessDeterminism pins the fairness kind bit-exactly.
+func TestGoldenFairnessDeterminism(t *testing.T) {
+	for scheme, want := range goldenFairness {
+		res, err := Run(Spec{Kind: KindFairness, Scheme: scheme,
+			Workload: WorkloadSpec{StaggerUs: 300}})
+		if err != nil {
+			t.Fatalf("%s: %v", scheme, err)
+		}
+		checkGolden(t, "fairness/"+scheme, res.Metrics, want)
+	}
+}
+
+// goldenFCT pins the packet FCT point of BenchmarkFCTPointPacket (k=4,
+// WebSearch at 50% load, seed 2, 500 µs of arrivals).
+var goldenFCT = map[string]float64{
+	"completed":       0x1p+05, // 32
+	"generated":       0x1p+05, // 32
+	"offered_load":    0x1.bcbb39d25eb21p-04,
+	"pause_frames":    0x0p+00,
+	"drops":           0x0p+00,
+	"slowdown_avg":    0x1.4492f8ec8c5bep+00,
+	"slowdown_median": 0x1.149fcd091c5b6p+00,
+	"slowdown_p95":    0x1.f08ca4e7c2777p+00,
+	"slowdown_p99":    0x1.0cd9abbdfb177p+01,
+}
+
+// TestGoldenFCTDeterminism pins the packet fct kind bit-exactly.
+func TestGoldenFCTDeterminism(t *testing.T) {
+	res, err := Run(benchFCTSpec(BackendPacket))
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "fct/FNCC", res.Metrics, goldenFCT)
+}

@@ -1,107 +1,104 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// at CI scale (full-scale parameter sets are the registry scenarios that
-// `fnccbench sweep` runs, plus cmd/fctsweep for Figs 14/15). Each benchmark
-// reports the figure's headline quantity via b.ReportMetric, so
+// at CI scale. Each figure benchmark runs the figure's registry scenario
+// (the spec `fnccbench sweep` runs at full scale; cmd/fctsweep for the
+// Figs 14/15 bucket tables) through RunScenario, shortened where noted,
+// and reports the figure's headline quantity via b.ReportMetric, so
 // `go test -bench=.` prints the reproduction numbers alongside the runtime
-// cost. DESIGN.md's experiment index maps figures to
-// these benchmarks.
+// cost. The ablations build their networks directly. DESIGN.md's
+// experiment index maps figures to these benchmarks.
 package fncc
 
 import (
 	"fmt"
 	"testing"
 
-	"repro/internal/exp"
+	"repro/internal/scenario"
 	"repro/internal/sim"
 )
 
+// runEntry runs the registry scenario name under scheme, with edit (if
+// any) applied to its spec, and returns the result's metrics.
+func runEntry(b *testing.B, name, scheme string, edit func(*Scenario)) map[string]float64 {
+	b.Helper()
+	sp, err := LookupScenario(name)
+	if err != nil {
+		b.Fatal(err)
+	}
+	sp.Scheme = scheme
+	if edit != nil {
+		edit(&sp)
+	}
+	res, err := RunScenario(sp)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res.Metrics
+}
+
+// durationUs returns a spec edit setting the run's duration.
+func durationUs(us int64) func(*Scenario) {
+	return func(sp *Scenario) { sp.DurationUs = us }
+}
+
 // --- Fig 1b-d: queue length vs time at 100/200/400 G (DCQCN/HPCC/FNCC) ---
 
-func benchFig1(b *testing.B, rate int64) {
+func benchFig1(b *testing.B, entry string) {
 	for _, scheme := range []string{SchemeDCQCN, SchemeHPCC, SchemeFNCC} {
 		b.Run(scheme, func(b *testing.B) {
 			var peak float64
 			for i := 0; i < b.N; i++ {
-				cfg := DefaultMicroConfig(scheme, rate)
-				cfg.Duration = 600 * sim.Microsecond
-				r, err := RunMicro(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				peak = r.QueuePeak
+				peak = runEntry(b, entry, scheme, durationUs(600))["queue_peak_bytes"]
 			}
 			b.ReportMetric(peak/1000, "queuePeakKB")
 		})
 	}
 }
 
-func BenchmarkFig1QueueLength100G(b *testing.B) { benchFig1(b, 100e9) }
-func BenchmarkFig1QueueLength200G(b *testing.B) { benchFig1(b, 200e9) }
-func BenchmarkFig1QueueLength400G(b *testing.B) { benchFig1(b, 400e9) }
+func BenchmarkFig1QueueLength100G(b *testing.B) { benchFig1(b, "micro") }
+func BenchmarkFig1QueueLength200G(b *testing.B) { benchFig1(b, "micro-200g") }
+func BenchmarkFig1QueueLength400G(b *testing.B) { benchFig1(b, "micro-400g") }
 
 // --- Fig 3: PFC pause frames at the congestion point, 200/400 G ---
 
-func benchFig3(b *testing.B, rate int64) {
+// benchFig3 runs the registry's Fig 3 entries unchanged, as README's
+// figure table does: the paper's 500 KB pause threshold over 1.2 ms.
+func benchFig3(b *testing.B, entry string) {
 	for _, scheme := range []string{SchemeDCQCN, SchemeHPCC, SchemeFNCC} {
 		b.Run(scheme, func(b *testing.B) {
-			var pauses int64
+			var pauses float64
 			for i := 0; i < b.N; i++ {
-				cfg := DefaultMicroConfig(scheme, rate)
-				cfg.Duration = 900 * sim.Microsecond
-				// The paper's 500KB threshold at full scale; at bench scale
-				// a tighter threshold exposes the same ordering.
-				cfg.PFCPauseBytes = 200 << 10
-				r, err := RunMicro(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				pauses = r.PauseFrames
+				pauses = runEntry(b, entry, scheme, nil)["pause_frames"]
 			}
-			b.ReportMetric(float64(pauses), "pauseFrames")
+			b.ReportMetric(pauses, "pauseFrames")
 		})
 	}
 }
 
-func BenchmarkFig3PauseFrames200G(b *testing.B) { benchFig3(b, 200e9) }
-func BenchmarkFig3PauseFrames400G(b *testing.B) { benchFig3(b, 400e9) }
+func BenchmarkFig3PauseFrames200G(b *testing.B) { benchFig3(b, "micro-200g") }
+func BenchmarkFig3PauseFrames400G(b *testing.B) { benchFig3(b, "micro-400g") }
 
 // --- Fig 9: response speed + utilization, all four schemes ---
 
 func BenchmarkFig9ResponseSpeed100G(b *testing.B) {
 	for _, scheme := range AllSchemes() {
 		b.Run(scheme, func(b *testing.B) {
-			var first sim.Time
+			var first float64
 			for i := 0; i < b.N; i++ {
-				cfg := DefaultMicroConfig(scheme, 100e9)
-				cfg.Duration = 800 * sim.Microsecond
-				r, err := RunMicro(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				first = r.FirstSlowdown
+				first = runEntry(b, "micro", scheme, durationUs(800))["first_slowdown_us"]
 			}
-			if first >= 0 {
-				b.ReportMetric(first.Micros(), "firstSlowdown_us")
-			} else {
-				b.ReportMetric(-1, "firstSlowdown_us")
-			}
+			b.ReportMetric(first, "firstSlowdown_us") // -1: never slowed
 		})
 	}
 }
 
 func BenchmarkFig9Utilization(b *testing.B) {
-	for _, rate := range []int64{200e9, 400e9} {
+	for _, rate := range []int64{200, 400} {
 		for _, scheme := range AllSchemes() {
-			b.Run(fmt.Sprintf("%dG/%s", rate/1e9, scheme), func(b *testing.B) {
+			b.Run(fmt.Sprintf("%dG/%s", rate, scheme), func(b *testing.B) {
 				var util float64
 				for i := 0; i < b.N; i++ {
-					cfg := DefaultMicroConfig(scheme, rate)
-					cfg.Duration = 700 * sim.Microsecond
-					r, err := RunMicro(cfg)
-					if err != nil {
-						b.Fatal(err)
-					}
-					util = r.MeanUtil
+					entry := fmt.Sprintf("micro-%dg", rate)
+					util = runEntry(b, entry, scheme, durationUs(700))["mean_util"]
 				}
 				b.ReportMetric(100*util, "meanUtil_pct")
 			})
@@ -112,22 +109,18 @@ func BenchmarkFig9Utilization(b *testing.B) {
 // --- Fig 13a-d: gains by congestion location, including the LHCS ablation ---
 
 func BenchmarkFig13HopLocation(b *testing.B) {
-	for _, pos := range []exp.HopPosition{HopFirst, HopMiddle, HopLast} {
+	for _, pos := range []string{"first", "middle", "last"} {
 		for _, scheme := range []string{SchemeHPCC, SchemeFNCC, SchemeFNCCNoLHCS} {
-			if scheme == SchemeFNCCNoLHCS && pos != HopLast {
+			if scheme == SchemeFNCCNoLHCS && pos != "last" {
 				continue // the paper only ablates LHCS at the last hop
 			}
 			b.Run(fmt.Sprintf("%s/%s", pos, scheme), func(b *testing.B) {
-				var peak, util float64
+				var m map[string]float64
 				for i := 0; i < b.N; i++ {
-					r, err := RunHop(DefaultHopConfig(scheme, pos))
-					if err != nil {
-						b.Fatal(err)
-					}
-					peak, util = r.QueuePeak, r.MeanUtil
+					m = runEntry(b, "hop-"+pos, scheme, nil)
 				}
-				b.ReportMetric(peak/1000, "queuePeakKB")
-				b.ReportMetric(100*util, "meanUtil_pct")
+				b.ReportMetric(m["queue_peak_bytes"]/1000, "queuePeakKB")
+				b.ReportMetric(100*m["mean_util"], "meanUtil_pct")
 			})
 		}
 	}
@@ -140,13 +133,9 @@ func BenchmarkFig13Fairness(b *testing.B) {
 		b.Run(scheme, func(b *testing.B) {
 			var jain float64
 			for i := 0; i < b.N; i++ {
-				cfg := DefaultFairnessConfig(scheme)
-				cfg.Stagger = 500 * sim.Microsecond
-				r, err := RunFairness(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				jain = r.JainAllActive
+				jain = runEntry(b, "fairness", scheme, func(sp *Scenario) {
+					sp.Workload.StaggerUs = 500
+				})["jain_all_active"]
 			}
 			b.ReportMetric(jain, "jainIndex")
 		})
@@ -155,21 +144,25 @@ func BenchmarkFig13Fairness(b *testing.B) {
 
 // --- Figs 14/15: fat-tree FCT slowdown sweeps ---
 
-func benchFCT(b *testing.B, wl string, horizon sim.Time, load float64) {
+func benchFCT(b *testing.B, entry string, horizonUs int64, load float64) {
 	for _, scheme := range []string{SchemeDCQCN, SchemeHPCC, SchemeFNCC} {
 		b.Run(scheme, func(b *testing.B) {
 			var p95Small, medLarge float64
 			for i := 0; i < b.N; i++ {
-				cfg := DefaultFCTConfig(scheme, wl)
-				cfg.K = 4 // CI-scale fabric; cmd/fctsweep runs k=8
-				cfg.Horizon = horizon
-				cfg.Load = load
-				r, err := RunFCT(cfg)
+				sp, err := LookupScenario(entry)
 				if err != nil {
 					b.Fatal(err)
 				}
-				p95Small = r.Collector.SlowdownDist(0, 100_000).P95()
-				medLarge = r.Collector.SlowdownDist(1_000_000, 1<<62).Median()
+				sp.Scheme = scheme
+				sp.Topo.K = 4 // CI-scale fabric; cmd/fctsweep runs k=8
+				sp.DurationUs = horizonUs
+				sp.Load = load
+				_, col, err := scenario.RunFlows(sp)
+				if err != nil {
+					b.Fatal(err)
+				}
+				p95Small = col.SlowdownDist(0, 100_000).P95()
+				medLarge = col.SlowdownDist(1_000_000, 1<<62).Median()
 			}
 			b.ReportMetric(p95Small, "p95SlowdownSmall")
 			if medLarge > 0 {
@@ -180,11 +173,11 @@ func benchFCT(b *testing.B, wl string, horizon sim.Time, load float64) {
 }
 
 func BenchmarkFig14WebSearchFCT(b *testing.B) {
-	benchFCT(b, "websearch", 2*sim.Millisecond, 0.5)
+	benchFCT(b, "fct-websearch", 2000, 0.5)
 }
 
 func BenchmarkFig15HadoopFCT(b *testing.B) {
-	benchFCT(b, "hadoop", sim.Millisecond, 0.5)
+	benchFCT(b, "fct-hadoop", 1000, 0.5)
 }
 
 // --- Fig 2/12 model: notification latency by congested hop ---
@@ -330,19 +323,12 @@ func BenchmarkAblationLHCSParams(b *testing.B) {
 func BenchmarkExtensionBaselines(b *testing.B) {
 	for _, scheme := range []string{SchemeTimely, SchemeSwift} {
 		b.Run(scheme, func(b *testing.B) {
-			var peak float64
-			var first sim.Time
+			var m map[string]float64
 			for i := 0; i < b.N; i++ {
-				cfg := DefaultMicroConfig(scheme, 100e9)
-				cfg.Duration = 800 * sim.Microsecond
-				r, err := RunMicro(cfg)
-				if err != nil {
-					b.Fatal(err)
-				}
-				peak, first = r.QueuePeak, r.FirstSlowdown
+				m = runEntry(b, "micro", scheme, durationUs(800))
 			}
-			b.ReportMetric(peak/1000, "queuePeakKB")
-			b.ReportMetric(first.Micros(), "firstSlowdown_us")
+			b.ReportMetric(m["queue_peak_bytes"]/1000, "queuePeakKB")
+			b.ReportMetric(m["first_slowdown_us"], "firstSlowdown_us")
 		})
 	}
 }

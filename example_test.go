@@ -36,16 +36,22 @@ func Example_microBenchmark() {
 func Example_schemeComparison() {
 	type result struct {
 		name string
-		at   fncc.Time
+		atUs float64
 	}
 	var fastest result
 	for _, name := range fncc.AllSchemes() {
-		r, err := fncc.RunMicro(fncc.DefaultMicroConfig(name, 100e9))
+		sp, err := fncc.LookupScenario("micro")
 		if err != nil {
 			panic(err)
 		}
-		if r.FirstSlowdown >= 0 && (fastest.name == "" || r.FirstSlowdown < fastest.at) {
-			fastest = result{name, r.FirstSlowdown}
+		sp.Scheme = name
+		r, err := fncc.RunScenario(sp)
+		if err != nil {
+			panic(err)
+		}
+		at := r.Metrics["first_slowdown_us"] // -1: never slowed down
+		if at >= 0 && (fastest.name == "" || at < fastest.atUs) {
+			fastest = result{name, at}
 		}
 	}
 	fmt.Println("first to react:", fastest.name)

@@ -2,7 +2,8 @@
 // first, middle and last switch of the chain and compare FNCC's queue-depth
 // gains over HPCC at each position — reproducing the paper's observation
 // that fast notification helps most when congestion is far from the
-// receiver, while LHCS recovers the gain at the last hop.
+// receiver, while LHCS recovers the gain at the last hop. Each point is a
+// registry scenario (hop-first, hop-middle, hop-last) under one scheme.
 //
 // Run: go run ./examples/hopcongestion
 package main
@@ -11,7 +12,6 @@ import (
 	"fmt"
 
 	fncc "repro"
-	"repro/internal/exp"
 )
 
 func main() {
@@ -19,25 +19,31 @@ func main() {
 	fmt.Println()
 	fmt.Printf("%-8s %-14s %12s %10s %14s\n", "hop", "scheme", "queue peak", "util", "vs HPCC peak")
 
-	for _, pos := range []exp.HopPosition{fncc.HopFirst, fncc.HopMiddle, fncc.HopLast} {
+	for _, pos := range []string{"first", "middle", "last"} {
 		schemes := []string{fncc.SchemeHPCC, fncc.SchemeFNCC}
-		if pos == fncc.HopLast {
+		if pos == "last" {
 			schemes = append(schemes, fncc.SchemeFNCCNoLHCS)
 		}
 		var hpccPeak float64
 		for _, s := range schemes {
-			r, err := fncc.RunHop(fncc.DefaultHopConfig(s, pos))
+			sp, err := fncc.LookupScenario("hop-" + pos)
 			if err != nil {
 				panic(err)
 			}
+			sp.Scheme = s
+			r, err := fncc.RunScenario(sp)
+			if err != nil {
+				panic(err)
+			}
+			peak, util := r.Metrics["queue_peak_bytes"], r.Metrics["mean_util"]
 			gain := ""
 			if s == fncc.SchemeHPCC {
-				hpccPeak = r.QueuePeak
+				hpccPeak = peak
 			} else if hpccPeak > 0 {
-				gain = fmt.Sprintf("-%.1f%%", 100*(1-r.QueuePeak/hpccPeak))
+				gain = fmt.Sprintf("-%.1f%%", 100*(1-peak/hpccPeak))
 			}
 			fmt.Printf("%-8s %-14s %10.1fKB %9.1f%% %14s\n",
-				pos, s, r.QueuePeak/1000, 100*r.MeanUtil, gain)
+				pos, s, peak/1000, 100*util, gain)
 		}
 		fmt.Println()
 	}

@@ -2,7 +2,8 @@
 // packet-level data-center network simulator with four congestion-control
 // schemes (FNCC, HPCC, DCQCN, RoCC), the paper's topologies (dumbbell
 // chains and k-ary fat-trees), trace-driven workloads (WebSearch,
-// FB_Hadoop), and one experiment runner per evaluation figure.
+// FB_Hadoop), and the paper's evaluation as declarative scenarios: every
+// figure is a registry Scenario run through RunScenario or a Sweep.
 //
 // # Quick start
 //
@@ -13,7 +14,7 @@
 //	chain.Net.RunUntil(1200 * fncc.Microsecond)
 //
 // See examples/ for runnable programs and DESIGN.md for the map from the
-// paper's figures to the runners re-exported here.
+// paper's figures to the scenario kinds and registry entries.
 package fncc
 
 import (
@@ -81,7 +82,7 @@ type (
 // Hot-path performance telemetry. The simulation core is allocation-free in
 // steady state: events recycle through an engine-owned slot pool and frames
 // through a per-network packet pool. These counters quantify both, and
-// every experiment result and sweep row carries them (engine_events,
+// every scenario result and sweep row carries them (engine_events,
 // event_reuse_rate, pool_hit_rate), so perf regressions show up in the
 // same tables as the modelled metrics. They are deterministic for a spec;
 // host cost (wall time, CPU, allocations) is not a result and is reported
@@ -91,12 +92,9 @@ type (
 	EngineStats = sim.EngineStats
 	// PacketPoolStats is the packet pool's hit-rate telemetry.
 	PacketPoolStats = packet.PoolStats
-	// PerfStats is one run's engine and pool counters, attached to every
-	// experiment result.
-	PerfStats = exp.PerfStats
 )
 
-// Metrics types surfaced by the runners.
+// Metrics types for direct simulations.
 type (
 	// Series is a time series of samples.
 	Series = metrics.Series
@@ -189,41 +187,6 @@ var (
 	WebSearch = workload.WebSearch
 	// FBHadoop returns the Facebook Hadoop flow-size CDF (Fig 15).
 	FBHadoop = workload.FBHadoop
-)
-
-// Experiment runners (one per figure; see DESIGN.md's index).
-type (
-	// MicroConfig / MicroResult: Figs 1b-d, 3, 9 dumbbell micro-benchmark.
-	MicroConfig = exp.MicroConfig
-	MicroResult = exp.MicroResult
-	// HopConfig / HopResult: Fig 13a-d hop-location study.
-	HopConfig = exp.HopConfig
-	HopResult = exp.HopResult
-	// FairnessConfig / FairnessResult: Fig 13e staggered fairness.
-	FairnessConfig = exp.FairnessConfig
-	FairnessResult = exp.FairnessResult
-	// FCTConfig / FCTResult: Figs 14-15 fat-tree FCT sweeps.
-	FCTConfig = exp.FCTConfig
-	FCTResult = exp.FCTResult
-	// IncastConfig / IncastResult: the N-to-1 last-hop burst motivating
-	// LHCS (§3.2.2).
-	IncastConfig = exp.IncastConfig
-	IncastResult = exp.IncastResult
-)
-
-// Experiment entry points.
-var (
-	DefaultMicroConfig    = exp.DefaultMicroConfig
-	RunMicro              = exp.RunMicro
-	DefaultHopConfig      = exp.DefaultHopConfig
-	RunHop                = exp.RunHop
-	DefaultFairnessConfig = exp.DefaultFairnessConfig
-	RunFairness           = exp.RunFairness
-	DefaultFCTConfig      = exp.DefaultFCTConfig
-	RunFCT                = exp.RunFCT
-	RunFCTSweep           = exp.RunFCTSweep
-	DefaultIncastConfig   = exp.DefaultIncastConfig
-	RunIncast             = exp.RunIncast
 )
 
 // Declarative scenarios and the sweep harness (cmd/fnccbench drives these
@@ -369,17 +332,4 @@ const (
 	SchemeTimely      = exp.SchemeTimely
 	SchemeSwift       = exp.SchemeSwift
 	SchemeExpressPass = exp.SchemeExpressPass
-)
-
-// Hop positions for HopConfig.
-const (
-	HopFirst  = exp.HopFirst
-	HopMiddle = exp.HopMiddle
-	HopLast   = exp.HopLast
-)
-
-// Table formatters.
-var (
-	FormatFCTTables = exp.FormatFCTTables
-	FormatHeadlines = exp.FormatHeadlines
 )

@@ -73,9 +73,13 @@ func TestFacadeWorkloads(t *testing.T) {
 }
 
 func TestFacadeRunners(t *testing.T) {
-	r, err := RunMicro(DefaultMicroConfig(SchemeFNCC, 100e9))
-	if err != nil || r.QueuePeak <= 0 {
-		t.Fatalf("RunMicro via facade: %v", err)
+	micro, err := LookupScenario("micro")
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := RunScenario(micro)
+	if err != nil || r.Metrics["queue_peak_bytes"] <= 0 {
+		t.Fatalf("micro scenario via facade: %v", err)
 	}
 	sp, err := LookupScenario("notify-first")
 	if err != nil {

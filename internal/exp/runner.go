@@ -6,7 +6,7 @@ import (
 )
 
 // Budget is the process's parallelism budget: GOMAXPROCS. Every worker-pool
-// sizing decision in the repo (the exp sweeps, fnccbench sweeps via the
+// sizing decision in the repo (cmd/fctsweep, fnccbench sweeps via the
 // harness Runner, the sweepd job pool) funnels through PoolWorkers so the
 // budget is spent in exactly one place instead of each call site reading
 // GOMAXPROCS for itself.

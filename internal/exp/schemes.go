@@ -1,13 +1,13 @@
-// Package exp contains one runner per table/figure of the paper's
-// evaluation (§5), the scheme registry, the FCT bucket tables and the
-// worker pool the sweeps run on. The registry scenarios in
-// internal/scenario drive these runners; DESIGN.md's experiment index maps
-// each figure to its runner and scenario.
+// Package exp holds what the experiments share beyond their specs: the
+// congestion-control scheme registry, the process's worker budget and the
+// pool sweeps run on, and the Figs 14/15 flow-size buckets with their
+// slowdown tables. The experiments themselves are the scenario kinds in
+// internal/scenario; DESIGN.md's experiment index maps each figure to its
+// kind and registry scenario.
 package exp
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/cc"
 	"repro/internal/core"
@@ -63,21 +63,6 @@ func NewScheme(name string) (netsim.Scheme, error) {
 	}
 }
 
-// SchemeBuilder constructs a Scheme. Every runner config carries an optional
-// one so callers (the scenario layer) can inject parameter-overridden schemes
-// without widening the runner signatures; nil falls back to NewScheme on the
-// config's scheme name.
-type SchemeBuilder func() (netsim.Scheme, error)
-
-// buildScheme resolves a config's scheme: the injected builder if present,
-// otherwise the registry defaults for name.
-func buildScheme(name string, b SchemeBuilder) (netsim.Scheme, error) {
-	if b != nil {
-		return b()
-	}
-	return NewScheme(name)
-}
-
 // MustScheme is NewScheme that panics on error.
 func MustScheme(name string) netsim.Scheme {
 	s, err := NewScheme(name)
@@ -85,23 +70,4 @@ func MustScheme(name string) netsim.Scheme {
 		panic(err)
 	}
 	return s
-}
-
-// SortSchemes orders names canonically (FNCC variants, HPCC, DCQCN, RoCC).
-func SortSchemes(names []string) {
-	rank := map[string]int{
-		SchemeFNCC: 0, SchemeFNCCNoLHCS: 1, SchemeHPCC: 2, SchemeDCQCN: 3,
-		SchemeRoCC: 4, SchemeTimely: 5, SchemeSwift: 6, SchemeExpressPass: 7,
-	}
-	sort.Slice(names, func(i, j int) bool {
-		ri, iok := rank[names[i]]
-		rj, jok := rank[names[j]]
-		if iok && jok {
-			return ri < rj
-		}
-		if iok != jok {
-			return iok
-		}
-		return names[i] < names[j]
-	})
 }

@@ -54,3 +54,29 @@ func FormatHeadlines(workloadName string, merged map[string]*metrics.FCTCollecto
 	}
 	return b.String()
 }
+
+// SlowdownReduction computes the headline percentages of §5.5: the relative
+// reduction of a statistic ("avg"|"median"|"p95"|"p99") for flows in
+// (loByte, hiByte], scheme vs baseline. Positive = scheme is better.
+func SlowdownReduction(stat string, scheme, baseline *metrics.FCTCollector, loByte, hiByte int64) float64 {
+	pick := func(d *metrics.Dist) float64 {
+		switch stat {
+		case "avg":
+			return d.Mean()
+		case "median":
+			return d.Median()
+		case "p95":
+			return d.P95()
+		case "p99":
+			return d.P99()
+		default:
+			panic("exp: unknown stat " + stat)
+		}
+	}
+	b := pick(baseline.SlowdownDist(loByte, hiByte))
+	s := pick(scheme.SlowdownDist(loByte, hiByte))
+	if b == 0 {
+		return 0
+	}
+	return 1 - s/b
+}

@@ -10,11 +10,11 @@ import (
 // 2 seeds, 18 FCT points — on the fluid backend, uncached and
 // single-worker: the workload the backend exists for. One op is the full
 // grid; this is the BENCH_3.json trajectory point for sweep throughput.
-// BenchmarkMicroObsOff is exp.BenchmarkMicroSteadyState's workload (FNCC
-// micro, 100 Gbit/s, 400 us) driven through the obs-capable Runner with
-// the observability layer unconfigured — no registry, no tracer, nil
+// BenchmarkMicroObsOff is scenario.BenchmarkMicroSteadyState's workload
+// (FNCC micro, 100 Gbit/s, 400 us) driven through the obs-capable Runner
+// with the observability layer unconfigured — no registry, no tracer, nil
 // scenario sink. cmd/benchguard pins the ratio of this bench to the bare
-// runner at <= 1.01: the whole obs layer must cost nothing when off.
+// scenario.Run at <= 1.01: the whole obs layer must cost nothing when off.
 func BenchmarkMicroObsOff(b *testing.B) {
 	sp := scenario.Spec{Kind: scenario.KindMicro, Scheme: "FNCC", DurationUs: 400}
 	r := &Runner{}

@@ -56,7 +56,7 @@ const (
 // obsSink adapts the registry to scenario.Sink, with every instrument
 // resolved once so the per-run cost is a handful of atomic adds. It feeds
 // the engine-level stats each run already computes — sim.EngineStats and
-// packet.PoolStats via exp.PerfStats's metric columns, fluid.Stats's
+// packet.PoolStats via the scenario perf metric columns, fluid.Stats's
 // full-vs-incremental pass split — and the run's host cost (obs.Usage)
 // into process-lifetime totals.
 type obsSink struct {

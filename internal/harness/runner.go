@@ -332,9 +332,9 @@ func (r *Runner) RunUnder(sp scenario.Spec, root *obs.Span) (*scenario.Result, e
 // the histogram covers the whole sweep rather than just the misses.
 func (r *Runner) runOne(sp scenario.Spec, root *obs.Span) (*scenario.Result, error) {
 	started := time.Now()
-	// Validate here, not just inside scenario.Run: a cache hit returns
-	// before Run, and a spec that today's rules reject must not be served
-	// from a cache written under yesterday's.
+	// Validate here, before the cache lookup, and only here: a spec that
+	// today's rules reject must not be served from a cache written under
+	// yesterday's, and scenario.RunWithSink runs validated specs as given.
 	if err := sp.Validate(); err != nil {
 		r.Obs.Counter(MetricJobsErrored).Add(1)
 		timeHist(r.Obs, MetricJobWallMs, started)

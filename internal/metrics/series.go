@@ -6,7 +6,6 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"repro/internal/sim"
@@ -38,120 +37,6 @@ func (s *Series) Add(t sim.Time, v float64) {
 	s.Points = append(s.Points, Point{t, v})
 }
 
-// Len returns the number of samples.
-func (s *Series) Len() int { return len(s.Points) }
-
-// Max returns the maximum sample value, or 0 for an empty series.
-func (s *Series) Max() float64 {
-	m := 0.0
-	for i, p := range s.Points {
-		if i == 0 || p.V > m {
-			m = p.V
-		}
-	}
-	return m
-}
-
-// MaxIn returns the maximum value among samples with from <= T <= to.
-func (s *Series) MaxIn(from, to sim.Time) float64 {
-	m := 0.0
-	first := true
-	for _, p := range s.Points {
-		if p.T < from || p.T > to {
-			continue
-		}
-		if first || p.V > m {
-			m = p.V
-			first = false
-		}
-	}
-	return m
-}
-
-// Mean returns the arithmetic mean of the sample values (0 if empty).
-func (s *Series) Mean() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, p := range s.Points {
-		sum += p.V
-	}
-	return sum / float64(len(s.Points))
-}
-
-// MeanIn averages samples with from <= T <= to (0 if none).
-func (s *Series) MeanIn(from, to sim.Time) float64 {
-	sum, n := 0.0, 0
-	for _, p := range s.Points {
-		if p.T >= from && p.T <= to {
-			sum += p.V
-			n++
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / float64(n)
-}
-
-// TWMeanIn returns the time-weighted mean over [from, to], treating the
-// series as a step function (each sample holds until the next). It is the
-// right average for irregularly sampled state like queue occupancy; for
-// uniformly ticked series it coincides with MeanIn.
-func (s *Series) TWMeanIn(from, to sim.Time) float64 {
-	if to <= from || len(s.Points) == 0 {
-		return 0
-	}
-	var weighted float64
-	cur := s.At(from)
-	last := from
-	for _, p := range s.Points {
-		if p.T <= from {
-			continue
-		}
-		if p.T > to {
-			break
-		}
-		weighted += cur * float64(p.T-last)
-		cur = p.V
-		last = p.T
-	}
-	weighted += cur * float64(to-last)
-	return weighted / float64(to-from)
-}
-
-// At returns the most recent value at or before t (0 before first sample).
-func (s *Series) At(t sim.Time) float64 {
-	i := sort.Search(len(s.Points), func(i int) bool { return s.Points[i].T > t })
-	if i == 0 {
-		return 0
-	}
-	return s.Points[i-1].V
-}
-
-// FirstAbove returns the earliest sample time with V >= threshold, or
-// (0, false) if the series never reaches it.
-func (s *Series) FirstAbove(threshold float64) (sim.Time, bool) {
-	for _, p := range s.Points {
-		if p.V >= threshold {
-			return p.T, true
-		}
-	}
-	return 0, false
-}
-
-// FirstBelowAfter returns the earliest time at or after 'after' with
-// V <= threshold, or (0, false).
-func (s *Series) FirstBelowAfter(after sim.Time, threshold float64) (sim.Time, bool) {
-	for _, p := range s.Points {
-		if p.T >= after && p.V <= threshold {
-			return p.T, true
-		}
-	}
-	return 0, false
-}
-
 // CSV renders "time_us,value" lines, the format the cmd tools emit for
 // re-plotting the paper's time-series figures.
 func (s *Series) CSV() string {
@@ -161,17 +46,4 @@ func (s *Series) CSV() string {
 		fmt.Fprintf(&b, "%.3f,%.3f\n", p.T.Micros(), p.V)
 	}
 	return b.String()
-}
-
-// Downsample returns a copy keeping every k-th point (k >= 1), useful when
-// printing dense series to a terminal.
-func (s *Series) Downsample(k int) *Series {
-	if k < 1 {
-		panic("metrics: Downsample k < 1")
-	}
-	out := NewSeries(s.Name)
-	for i := 0; i < len(s.Points); i += k {
-		out.Points = append(out.Points, s.Points[i])
-	}
-	return out
 }

@@ -106,8 +106,8 @@ func runFCTFluid(sp Spec) (map[string]float64, *telemetry.Output, error) {
 			return nil, nil, err
 		}
 	}
-	tp := attachFluidProbe(s, sp, horizon*11)
-	res := s.Run(horizon * 11) // horizon + 10x drain, like exp.RunFCT
+	tp := attachFluidProbe(s, sp, drainSpan(sp))
+	res := s.Run(drainSpan(sp))
 	m := map[string]float64{
 		"completed":    float64(res.Completed),
 		"generated":    float64(res.Generated),

@@ -1,14 +1,15 @@
 package scenario
 
-// Traffic patterns the fixed exp runners cannot express: permutation,
-// all-to-all shuffle, and a mixed Poisson-background + periodic-incast
-// workload, all on the fat-tree. Each returns the same flat metric map as
-// the exp-backed kinds so sweep tables compose across kinds.
+// The fat-tree kinds: the §5.5 Poisson FCT experiment (Figs 14/15) and
+// the traffic patterns beyond the paper's figures — permutation, all-to-all
+// shuffle, and a mixed Poisson-background + periodic-incast workload. Each
+// returns the same flat metric map as the chain kinds so sweep tables
+// compose across kinds.
 
 import (
 	"fmt"
 
-	"repro/internal/exp"
+	"repro/internal/metrics"
 	"repro/internal/netsim"
 	"repro/internal/sim"
 	"repro/internal/telemetry"
@@ -16,14 +17,14 @@ import (
 	"repro/internal/workload"
 )
 
-// attachNetProbe wires the spec's telemetry block (if any) to a fat-tree
-// fabric for a run spanning the given horizon.
-func attachNetProbe(ft *topo.FatTree, sp Spec, span sim.Time) *telemetry.NetProbe {
+// attachNetProbe wires the spec's telemetry block (if any) to a network
+// for a run spanning the given horizon.
+func attachNetProbe(net *netsim.Network, sp Spec, span sim.Time) *telemetry.NetProbe {
 	cfg := sp.Telemetry.Config()
 	if cfg == nil {
 		return nil
 	}
-	return telemetry.AttachNet(ft.Net, *cfg, telemetry.Samples(span, cfg.Interval))
+	return telemetry.AttachNet(net, *cfg, telemetry.Samples(span, cfg.Interval))
 }
 
 // probeOutput stops a probe and extracts its output (nil-safe).
@@ -96,11 +97,11 @@ func runPermutation(sp Spec) (map[string]float64, *telemetry.Output, error) {
 	for i := 0; i < hosts; i++ {
 		ft.AddFlow(uint64(i+1), i, (i+shift)%hosts, sp.Workload.FlowBytes, 0)
 	}
-	tp := attachNetProbe(ft, sp, sp.Duration())
+	tp := attachNetProbe(ft.Net, sp, sp.Duration())
 	done := ft.Net.RunToCompletion(sp.Duration())
 	tel := probeOutput(tp)
 	m := fabricMetrics(ft, hosts, done)
-	perfMetrics(m, exp.PerfOf(ft.Net))
+	perfMetrics(m, ft.Net)
 	return m, tel, nil
 }
 
@@ -124,12 +125,93 @@ func runAllToAll(sp Spec) (map[string]float64, *telemetry.Output, error) {
 			id++
 		}
 	}
-	tp := attachNetProbe(ft, sp, sp.Duration())
+	tp := attachNetProbe(ft.Net, sp, sp.Duration())
 	done := ft.Net.RunToCompletion(sp.Duration())
 	tel := probeOutput(tp)
 	m := fabricMetrics(ft, hosts*(hosts-1), done)
-	perfMetrics(m, exp.PerfOf(ft.Net))
+	perfMetrics(m, ft.Net)
 	return m, tel, nil
+}
+
+// poissonFlows generates the spec's open-loop Poisson workload (Load over
+// the access links, CDF flow sizes, arrivals within the spec's horizon)
+// and adds it to the fabric, flow IDs from 1.
+func poissonFlows(ft *topo.FatTree, sp Spec) ([]workload.FlowSpec, error) {
+	cdf, _ := workload.ByName(sp.Workload.CDF) // Validate checked the name
+	flows, err := workload.Generate(workload.GenConfig{
+		Hosts:     len(ft.Hosts),
+		AccessBps: sp.Topo.RateBps(),
+		Load:      sp.Load,
+		CDF:       cdf,
+		Horizon:   sp.Duration(),
+		Seed:      sp.Seed,
+		FirstID:   1,
+	})
+	if err != nil {
+		return nil, err
+	}
+	for _, fs := range flows {
+		ft.AddFlow(fs.ID, fs.SrcHost, fs.DstHost, fs.SizeBytes, fs.Start)
+	}
+	return flows, nil
+}
+
+// drainSpan is a Poisson kind's run bound: the arrival horizon plus a
+// drain phase ten times as long.
+func drainSpan(sp Spec) sim.Time { return sp.Duration() * 11 }
+
+// runFCT is the §5.5 large-scale experiment (Figs 14, 15): a k-ary
+// fat-tree driven by an open-loop Poisson workload at a target load,
+// drained after the arrival horizon.
+func runFCT(sp Spec) (map[string]float64, *telemetry.Output, error) {
+	m, tel, _, err := fctRun(sp)
+	return m, tel, err
+}
+
+// fctRun executes a normalized fct spec and also returns the run's
+// flow-completion records.
+func fctRun(sp Spec) (map[string]float64, *telemetry.Output, *metrics.FCTCollector, error) {
+	ft, err := buildFatTree(sp)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	flows, err := poissonFlows(ft, sp)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	tp := attachNetProbe(ft.Net, sp, drainSpan(sp))
+	ft.Net.RunToCompletion(drainSpan(sp))
+	tel := probeOutput(tp)
+	m := map[string]float64{
+		"completed":    float64(ft.Net.FCT.N()),
+		"generated":    float64(len(flows)),
+		"offered_load": workload.OfferedLoad(flows, len(ft.Hosts), sp.Topo.RateBps(), sp.Duration()),
+		"pause_frames": float64(ft.Net.PauseFrames.N),
+		"drops":        float64(ft.Net.Drops.N),
+	}
+	slowdownMetrics(m, ft.Net.FCT)
+	perfMetrics(m, ft.Net)
+	return m, tel, ft.Net.FCT, nil
+}
+
+// RunFlows is Run for a packet fct spec that also returns the run's
+// flow-completion records, for per-flow-size-bucket tables such as
+// cmd/fctsweep's Figs 14/15.
+func RunFlows(sp Spec) (*Result, *metrics.FCTCollector, error) {
+	if err := sp.Validate(); err != nil {
+		return nil, nil, err
+	}
+	n := sp.Normalized()
+	if n.Kind != KindFCT || n.BackendName() != BackendPacket {
+		return nil, nil, fmt.Errorf("scenario: RunFlows needs a packet %q spec, got %s/%s",
+			KindFCT, n.Kind, n.BackendName())
+	}
+	m, tel, col, err := fctRun(n)
+	if err != nil {
+		return nil, nil, fmt.Errorf("scenario %s/%s/%s: %w", n.Kind, n.BackendName(), n.Scheme, err)
+	}
+	telemetryMetrics(m, tel)
+	return newResult(n, n.Hash(), m, tel), col, nil
 }
 
 // runMixed layers periodic Fanout-to-1 incast bursts (every BurstEveryUs,
@@ -145,27 +227,12 @@ func runMixed(sp Spec) (map[string]float64, *telemetry.Output, error) {
 	if sp.Workload.Fanout >= hosts {
 		return nil, nil, fmt.Errorf("mixed fanout %d needs < %d hosts", sp.Workload.Fanout, hosts)
 	}
-	cdf, ok := workload.ByName(sp.Workload.CDF)
-	if !ok {
-		return nil, nil, fmt.Errorf("unknown workload CDF %q", sp.Workload.CDF)
-	}
-	horizon := sp.Duration()
-	flows, err := workload.Generate(workload.GenConfig{
-		Hosts:     hosts,
-		AccessBps: sp.Topo.RateBps(),
-		Load:      sp.Load,
-		CDF:       cdf,
-		Horizon:   horizon,
-		Seed:      sp.Seed,
-		FirstID:   1,
-	})
+	flows, err := poissonFlows(ft, sp)
 	if err != nil {
 		return nil, nil, err
 	}
-	for _, fs := range flows {
-		ft.AddFlow(fs.ID, fs.SrcHost, fs.DstHost, fs.SizeBytes, fs.Start)
-	}
 	// Bursts: responders 1..Fanout all answer host 0 at once, every period.
+	horizon := sp.Duration()
 	id := uint64(len(flows) + 1)
 	burstFlows := 0
 	period := sim.Time(sp.Workload.BurstEveryUs) * sim.Microsecond
@@ -176,12 +243,12 @@ func runMixed(sp Spec) (map[string]float64, *telemetry.Output, error) {
 			burstFlows++
 		}
 	}
-	tp := attachNetProbe(ft, sp, horizon*11)
-	done := ft.Net.RunToCompletion(horizon * 11) // horizon + 10x drain
+	tp := attachNetProbe(ft.Net, sp, drainSpan(sp))
+	done := ft.Net.RunToCompletion(drainSpan(sp))
 	tel := probeOutput(tp)
 	m := fabricMetrics(ft, len(flows)+burstFlows, done)
 	m["burst_flows"] = float64(burstFlows)
 	m["offered_load"] = workload.OfferedLoad(flows, hosts, sp.Topo.RateBps(), horizon)
-	perfMetrics(m, exp.PerfOf(ft.Net))
+	perfMetrics(m, ft.Net)
 	return m, tel, nil
 }

@@ -54,7 +54,7 @@ var modelKeys = []string{
 // execKeys are the execution metrics: how the simulator ran, not what it
 // simulated.
 var execKeys = []string{
-	// Simulator-performance telemetry (exp.PerfStats), attached to every
+	// Simulator-performance telemetry (perfMetrics), attached to every
 	// run so sweeps regression-track engine work and pool efficiency. All
 	// deterministic for a given spec; host cost goes to Sink instead.
 	"engine_events", "event_reuse_rate", "pool_hit_rate",
@@ -97,16 +97,23 @@ func IsModelMetric(name string) bool { return modelMetrics[name] }
 // holding any other key was written by an older vocabulary.
 func IsKnownMetric(name string) bool { return knownMetrics[name] }
 
-// perfMetrics folds a runner's PerfStats into the flat metric map.
-func perfMetrics(m map[string]float64, p exp.PerfStats) {
-	m["engine_events"] = float64(p.Events)
-	m["event_reuse_rate"] = p.EventReuseRate
-	m["pool_hit_rate"] = p.PoolHitRate
-	if p.Shard.Shards > 0 {
-		m["parallel_workers"] = float64(p.Shard.Workers)
-		m["parallel_shards"] = float64(p.Shard.Shards)
-		m["parallel_windows"] = float64(p.Shard.Windows)
-		m["cross_shard_messages"] = float64(p.Shard.Messages)
+// perfMetrics folds a finished run's engine and pool counters into the
+// flat metric map: events fired, the event slot-pool and packet-pool hit
+// rates, and the parallel executor's partition when the run was sharded.
+// All of it is deterministic for a given spec (the pool rates and the
+// parallel_* keys also for a given partition), so it is safe to cache;
+// host cost (wall time, CPU, allocations) is not a result and is measured
+// by obs.Meter instead.
+func perfMetrics(m map[string]float64, net *netsim.Network) {
+	es := net.TotalEngineStats()
+	m["engine_events"] = float64(es.Processed)
+	m["event_reuse_rate"] = es.ReuseRate()
+	m["pool_hit_rate"] = net.TotalPoolStats().HitRate()
+	if sh := net.ShardStats(); sh.Shards > 0 {
+		m["parallel_workers"] = float64(sh.Workers)
+		m["parallel_shards"] = float64(sh.Shards)
+		m["parallel_windows"] = float64(sh.Windows)
+		m["cross_shard_messages"] = float64(sh.Messages)
 	}
 }
 
@@ -176,14 +183,6 @@ func applyHPCCOverride(cfg *cc.HPCCConfig, k string, v float64) error {
 	return nil
 }
 
-// schemeBuilder adapts a spec's scheme+overrides to the exp injection point.
-func schemeBuilder(sp Spec) exp.SchemeBuilder {
-	if len(sp.CC) == 0 {
-		return nil // let the runner use its registry default
-	}
-	return func() (netsim.Scheme, error) { return BuildScheme(sp.Scheme, sp.CC) }
-}
-
 // Sink observes every executed run. ObserveRun fires once per successful
 // simulation — never for cache hits, which don't simulate — with the
 // normalized spec, its content hash, the full metric map *before* any
@@ -221,30 +220,50 @@ var runners = map[string]map[string]runner{
 }
 
 // Run validates, normalizes and executes one scenario.
-func Run(sp Spec) (*Result, error) { return RunWithSink(sp, nil) }
-
-// RunWithSink is Run with an observer attached; see Sink.
-func RunWithSink(sp Spec, sink Sink) (*Result, error) {
+func Run(sp Spec) (*Result, error) {
 	if err := sp.Validate(); err != nil {
 		return nil, err
 	}
+	return RunWithSink(sp, nil)
+}
+
+// RunWithSink normalizes and executes a spec that has already passed
+// Validate, with an observer attached (see Sink). The harness validates
+// each job once, before its cache lookup, and then calls this.
+func RunWithSink(sp Spec, sink Sink) (*Result, error) {
 	n := sp.Normalized()
+	run := runners[n.BackendName()][n.Kind]
+	if run == nil {
+		return nil, fmt.Errorf("scenario: no %s runner for kind %q", n.BackendName(), n.Kind)
+	}
 	var meter obs.Meter
 	if sink != nil {
 		meter = obs.StartMeter()
 	}
-	m, tel, err := runners[n.BackendName()][n.Kind](n)
+	m, tel, err := run(n)
 	if err != nil {
 		return nil, fmt.Errorf("scenario %s/%s/%s: %w", n.Kind, n.BackendName(), n.Scheme, err)
 	}
-	if tel != nil {
-		m["telemetry_samples"] = float64(tel.Samples)
-		m["trace_events"] = float64(tel.TraceTotal)
-	}
+	telemetryMetrics(m, tel)
 	hash := n.Hash()
 	if sink != nil {
 		sink.ObserveRun(n, hash, m, meter.Stop())
 	}
+	return newResult(n, hash, m, tel), nil
+}
+
+// telemetryMetrics records a probed run's bookkeeping: samples recorded and
+// trace events captured.
+func telemetryMetrics(m map[string]float64, tel *telemetry.Output) {
+	if tel != nil {
+		m["telemetry_samples"] = float64(tel.Samples)
+		m["trace_events"] = float64(tel.TraceTotal)
+	}
+}
+
+// newResult assembles a normalized spec's result, keeping only the
+// metrics its Collect list names (all of them when it is empty).
+func newResult(n Spec, hash string, m map[string]float64, tel *telemetry.Output) *Result {
 	if len(n.Collect) > 0 {
 		keep := make(map[string]float64, len(n.Collect))
 		for _, k := range n.Collect {
@@ -254,155 +273,7 @@ func RunWithSink(sp Spec, sink Sink) (*Result, error) {
 		}
 		m = keep
 	}
-	return &Result{Spec: n, Hash: hash, Metrics: m, Telemetry: tel}, nil
-}
-
-func runMicro(sp Spec) (map[string]float64, *telemetry.Output, error) {
-	cfg := exp.DefaultMicroConfig(sp.Scheme, sp.Topo.RateBps())
-	cfg.Senders = sp.Topo.Senders
-	cfg.Duration = sp.Duration()
-	cfg.MakeScheme = schemeBuilder(sp)
-	cfg.Telemetry = sp.Telemetry.Config()
-	cfg.Workers = sp.Workers
-	r, err := exp.RunMicro(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := map[string]float64{
-		"queue_peak_bytes":  r.QueuePeak,
-		"mean_util":         r.MeanUtil,
-		"pause_frames":      float64(r.PauseFrames),
-		"resume_frames":     float64(r.ResumeFrames),
-		"drops":             float64(r.Drops),
-		"first_slowdown_us": timeUs(r.FirstSlowdown),
-	}
-	perfMetrics(m, r.Perf)
-	return m, r.Telemetry, nil
-}
-
-// hopConfig maps a hop or notify spec onto the hop runner.
-func hopConfig(sp Spec) exp.HopConfig {
-	cfg := exp.DefaultHopConfig(sp.Scheme, exp.HopPosition(sp.Hop))
-	cfg.RateBps = sp.Topo.RateBps()
-	cfg.Duration = sp.Duration()
-	cfg.MakeScheme = schemeBuilder(sp)
-	cfg.Telemetry = sp.Telemetry.Config()
-	cfg.Workers = sp.Workers
-	return cfg
-}
-
-func runHop(sp Spec) (map[string]float64, *telemetry.Output, error) {
-	r, err := exp.RunHop(hopConfig(sp))
-	if err != nil {
-		return nil, nil, err
-	}
-	m := map[string]float64{
-		"queue_peak_bytes": r.QueuePeak,
-		"mean_util":        r.MeanUtil,
-		"lhcs_triggers":    float64(r.LHCSTriggers),
-	}
-	perfMetrics(m, r.Perf)
-	return m, r.Telemetry, nil
-}
-
-// runNotify measures the notification latency of Fig 2/12: the time from
-// flow 1's join (persistent, so congestion has one clean onset edge) to the
-// first 200 ns sample where flow 0 paces below 85% of line rate; -1 if it
-// never does.
-func runNotify(sp Spec) (map[string]float64, *telemetry.Output, error) {
-	cfg := hopConfig(sp)
-	cfg.Flow1Stop = false
-	cfg.SampleEvery = 200 * sim.Nanosecond
-	r, err := exp.RunHop(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	lat := sim.Time(-1)
-	threshold := 0.85 * float64(cfg.RateBps)
-	for _, p := range r.Rates[0].Points {
-		if p.T >= cfg.Flow1Start && p.V < threshold {
-			lat = p.T - cfg.Flow1Start
-			break
-		}
-	}
-	m := map[string]float64{"notify_latency_us": timeUs(lat)}
-	perfMetrics(m, r.Perf)
-	return m, r.Telemetry, nil
-}
-
-func runFairness(sp Spec) (map[string]float64, *telemetry.Output, error) {
-	cfg := exp.DefaultFairnessConfig(sp.Scheme)
-	cfg.Senders = sp.Topo.Senders
-	cfg.RateBps = sp.Topo.RateBps()
-	cfg.Stagger = sim.Time(sp.Workload.StaggerUs) * sim.Microsecond
-	cfg.MakeScheme = schemeBuilder(sp)
-	cfg.Telemetry = sp.Telemetry.Config()
-	cfg.Workers = sp.Workers
-	r, err := exp.RunFairness(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := map[string]float64{
-		"jain_all_active": r.JainAllActive,
-		"duration_us":     timeUs(r.Duration),
-	}
-	perfMetrics(m, r.Perf)
-	return m, r.Telemetry, nil
-}
-
-func runFCT(sp Spec) (map[string]float64, *telemetry.Output, error) {
-	cfg := exp.FCTConfig{
-		Scheme:      sp.Scheme,
-		K:           sp.Topo.K,
-		RateBps:     sp.Topo.RateBps(),
-		Workload:    sp.Workload.CDF,
-		Load:        sp.Load,
-		Horizon:     sp.Duration(),
-		DrainFactor: 10,
-		Seed:        sp.Seed,
-		CoreRateBps: sp.Topo.CoreRateBps(),
-		MakeScheme:  schemeBuilder(sp),
-		Telemetry:   sp.Telemetry.Config(),
-		Workers:     sp.Workers,
-	}
-	r, err := exp.RunFCT(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := map[string]float64{
-		"completed":    float64(r.Completed),
-		"generated":    float64(r.Generated),
-		"offered_load": r.OfferedLoad,
-		"pause_frames": float64(r.PauseFrames),
-		"drops":        float64(r.Drops),
-	}
-	slowdownMetrics(m, r.Collector)
-	perfMetrics(m, r.Perf)
-	return m, r.Telemetry, nil
-}
-
-func runIncast(sp Spec) (map[string]float64, *telemetry.Output, error) {
-	cfg := exp.DefaultIncastConfig(sp.Scheme)
-	cfg.Fanout = sp.Workload.Fanout
-	cfg.BytesPerSender = sp.Workload.FlowBytes
-	cfg.RateBps = sp.Topo.RateBps()
-	cfg.Deadline = sp.Duration()
-	cfg.MakeScheme = schemeBuilder(sp)
-	cfg.Telemetry = sp.Telemetry.Config()
-	cfg.Workers = sp.Workers
-	r, err := exp.RunIncast(cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := map[string]float64{
-		"queue_peak_bytes": float64(r.QueuePeak),
-		"pause_frames":     float64(r.PauseFrames),
-		"all_done_us":      timeUs(r.AllDoneAt),
-		"jain_min":         r.JainFinalRates,
-		"lhcs_triggers":    float64(r.LHCSTriggers),
-	}
-	perfMetrics(m, r.Perf)
-	return m, r.Telemetry, nil
+	return &Result{Spec: n, Hash: hash, Metrics: m, Telemetry: tel}
 }
 
 // slowdownMetrics folds a collector's whole-range slowdown distribution into

@@ -107,7 +107,7 @@ func TestParseSpecRejectsUnknownFields(t *testing.T) {
 	}
 }
 
-// TestRegistry: the built-ins cover every exp runner plus the new traffic
+// TestRegistry: the built-ins cover every figure kind plus the new traffic
 // patterns, and each entry validates.
 func TestRegistry(t *testing.T) {
 	entries := Builtin()
@@ -145,6 +145,8 @@ func TestValidateRejects(t *testing.T) {
 	}{
 		{"unknown kind", func(s *Spec) { s.Kind = "nope" }},
 		{"unknown scheme", func(s *Spec) { s.Scheme = "TCP" }},
+		{"unknown scheme on fct", func(s *Spec) { s.Kind = KindFCT; s.Scheme = "nope" }},
+		{"unknown scheme on incast", func(s *Spec) { s.Kind = KindIncast; s.Scheme = "nope" }},
 		{"bad cc key", func(s *Spec) { s.CC = map[string]float64{"gamma": 1} }},
 		{"cc on dcqcn", func(s *Spec) { s.Scheme = "DCQCN"; s.CC = map[string]float64{"alpha": 1} }},
 		{"odd fat-tree", func(s *Spec) { s.Kind = KindFCT; s.Topo.K = 5 }},

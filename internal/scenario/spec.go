@@ -1,13 +1,13 @@
 // Package scenario is the declarative front end of the simulator: a
 // JSON-serializable Spec describes one experiment (topology, congestion-
 // control scheme with parameter overrides, workload, load point, seed,
-// duration and the metrics to collect), and Run executes it on the existing
-// exp runners or on the pattern generators defined here. Specs normalize to
-// a canonical encoding with a stable content hash, which is what the sweep
-// harness (internal/harness) keys its result cache on. A registry of named
-// built-in scenarios covers every figure runner plus traffic patterns the
-// runners cannot express (permutation, all-to-all shuffle, oversubscribed
-// fat-trees, mixed background+incast).
+// duration and the metrics to collect), and Run executes it on the kind's
+// runner, which builds the network straight from the spec. Specs normalize
+// to a canonical encoding with a stable content hash, which is what the
+// sweep harness (internal/harness) keys its result cache on. A registry of
+// named built-in scenarios covers every figure of the paper's evaluation
+// plus traffic patterns beyond it (permutation, all-to-all shuffle,
+// oversubscribed fat-trees, mixed background+incast).
 package scenario
 
 import (
@@ -455,12 +455,8 @@ func (s Spec) Validate() error {
 			return fmt.Errorf("scenario: unknown workload CDF %q", n.Workload.CDF)
 		}
 	}
-	if in(n.Kind, KindHop, KindNotify) {
-		switch n.Hop {
-		case "first", "middle", "last":
-		default:
-			return fmt.Errorf("scenario: hop position %q not in first|middle|last", n.Hop)
-		}
+	if _, ok := hopAttach[n.Hop]; in(n.Kind, KindHop, KindNotify) && !ok {
+		return fmt.Errorf("scenario: hop position %q not in first|middle|last", n.Hop)
 	}
 	if (n.Kind == KindIncast || n.Kind == KindMixed) && n.Workload.Fanout < 2 {
 		return fmt.Errorf("scenario: fanout %d must be >= 2", n.Workload.Fanout)
